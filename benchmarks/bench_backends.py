@@ -5,8 +5,9 @@ fixed at import time by INVERSEPOINT_NUMBA), and reports wall-clock times.
 The numba child does an unmeasured warmup solve first so JIT compilation
 (cached on disk after the first ever run) is not billed to the workload.
 
-Needs numba (the ``[fast]`` extra); without it the script exits 1 with the
-reason the numba child fell back to numpy.
+Needs numba (the ``[fast]`` extra). Each child is told which backend it
+should run and checks that before any workload; without numba the numba
+child exits at once and the script exits 1 with the reason it fell back.
 
 Usage:
     python benchmarks/bench_backends.py [--repeats 3] [--matrices 150]
@@ -51,9 +52,17 @@ def workloads(n_matrices):
     return [("solve_auto", bench_solve), ("multistart", bench_multistart), ("oracle", bench_oracle)]
 
 
-def run_child(n_matrices, repeats):
+def run_child(expected, n_matrices, repeats):
     import inversepoint as ip
 
+    if ip.BACKEND != expected:
+        print(
+            f"bench_backends: the INVERSEPOINT_NUMBA={os.environ.get('INVERSEPOINT_NUMBA')} "
+            f"child ran the {ip.BACKEND} backend ({ip.BACKEND_REASON}); "
+            'comparing backends needs numba: pip install -e ".[fast]"',
+            file=sys.stderr,
+        )
+        return 1
     ip.solve(ip.Matrix([[2.0, 0.5], [0.5, 2.0]]))  # warmup / JIT
     results = {}
     for name, fn in workloads(n_matrices):
@@ -63,7 +72,8 @@ def run_child(n_matrices, repeats):
             fn()
             times.append(time.perf_counter() - t0)
         results[name] = min(times)
-    print(json.dumps({"backend": ip.BACKEND, "reason": ip.BACKEND_REASON, "times": results}))
+    print(json.dumps(results))
+    return 0
 
 
 def run_parent(args):
@@ -71,24 +81,15 @@ def run_parent(args):
     for flag, label in (("1", "numba"), ("0", "numpy")):
         env = dict(os.environ, INVERSEPOINT_NUMBA=flag)
         proc = subprocess.run(
-            [sys.executable, __file__, CHILD_FLAG, str(args.matrices), str(args.repeats)],
+            [sys.executable, __file__, CHILD_FLAG, label, str(args.matrices), str(args.repeats)],
             capture_output=True,
             text=True,
             env=env,
         )
         if proc.returncode != 0:
-            print(proc.stderr, file=sys.stderr)
+            print(proc.stderr, end="", file=sys.stderr)
             return 1
-        payload = json.loads(proc.stdout.strip().splitlines()[-1])
-        if payload["backend"] != label:
-            print(
-                f"bench_backends: the INVERSEPOINT_NUMBA={flag} child ran the "
-                f"{payload['backend']} backend ({payload['reason']}); "
-                'comparing backends needs numba: pip install -e ".[fast]"',
-                file=sys.stderr,
-            )
-            return 1
-        rows[label] = payload["times"]
+        rows[label] = json.loads(proc.stdout.strip().splitlines()[-1])
 
     names = list(rows["numba"])
     width = max(len(n) for n in names)
@@ -102,8 +103,7 @@ def run_parent(args):
 
 def main():
     if len(sys.argv) > 1 and sys.argv[1] == CHILD_FLAG:
-        run_child(int(sys.argv[2]), int(sys.argv[3]))
-        return 0
+        return run_child(sys.argv[2], int(sys.argv[3]), int(sys.argv[4]))
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--matrices", type=int, default=150)

@@ -8,7 +8,7 @@ before import to select the pure-numpy fallback. BACKEND names the backend in
 use and BACKEND_REASON says why it was chosen.
 """
 
-from ._kernels import BACKEND, BACKEND_REASON, NUMBA_ENABLED
+from ._kernels import BACKEND, BACKEND_REASON
 from .classify import (
     Classification,
     classify,
@@ -37,7 +37,6 @@ from .errors import (
     OracleDivergenceError,
     ParseError,
     SingularJacobianError,
-    StallError,
     ValidationError,
     ZeroRowError,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "Matrix",
     "NonNegativityError",
     "NotPrimitiveError",
-    "NUMBA_ENABLED",
     "OracleDivergenceError",
     "ParseError",
     "PositiveVector",
@@ -80,7 +78,6 @@ __all__ = [
     "SingularJacobianError",
     "SolveResult",
     "SolverConfig",
-    "StallError",
     "StochasticCertificate",
     "ValidationError",
     "ZeroRowError",

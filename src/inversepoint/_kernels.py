@@ -5,8 +5,8 @@ extra); when it imports, the loop implementations below are compiled (and
 cached on disk). Set ``INVERSEPOINT_NUMBA=0`` (or ``false``/``off``/``no``; the
 value is case-insensitive and whitespace-trimmed) before importing the package
 to force the fallback. Without numba, the vectorized numpy twins take over for
-the map/residual kernels while the intrinsically sequential routines
-(elimination, bisection sweeps) run as plain Python loops. ``BACKEND`` names
+the map, residual and Newton-system kernels; the only sequential routine, the
+oracle's bisection sweeps, then runs as a plain Python loop. ``BACKEND`` names
 the backend in use and ``BACKEND_REASON`` says why it was chosen: ``"numba
 imported"``, ``"disabled by INVERSEPOINT_NUMBA=<raw value>"`` or ``"numba not
 importable: <ImportError text>"``.
@@ -55,9 +55,6 @@ if not NUMBA_ENABLED:
 
 
 BACKEND = "numba" if NUMBA_ENABLED else "numpy"
-
-# Elimination declares the Jacobian singular below this absolute pivot.
-SINGULAR_PIVOT = 1e-300
 
 
 @njit(cache=True)
@@ -161,48 +158,6 @@ def newton_system_numpy(m, x, jac, g) -> None:
     jac[:] = x[:, None] * m
     idx = np.arange(m.shape[0])
     jac[idx, idx] += mx
-
-
-@njit(cache=True)
-def gauss_solve(a, b) -> int:
-    """Solve a @ x = b in place by elimination with partial pivoting.
-
-    Destroys a; the solution lands in b. Returns -1 on success, else the
-    elimination column whose pivot magnitude fell below SINGULAR_PIVOT.
-    """
-    n = a.shape[0]
-    for k in range(n):
-        p = k
-        best = abs(a[k, k])
-        for i in range(k + 1, n):
-            v = abs(a[i, k])
-            if v > best:
-                best = v
-                p = i
-        if best < SINGULAR_PIVOT:
-            return k
-        if p != k:
-            for j in range(k, n):
-                tmp = a[k, j]
-                a[k, j] = a[p, j]
-                a[p, j] = tmp
-            tmp = b[k]
-            b[k] = b[p]
-            b[p] = tmp
-        akk = a[k, k]
-        for i in range(k + 1, n):
-            lam = a[i, k] / akk
-            if lam != 0.0:
-                for j in range(k + 1, n):
-                    a[i, j] -= lam * a[k, j]
-                b[i] -= lam * b[k]
-            a[i, k] = 0.0
-    for k in range(n - 1, -1, -1):
-        s = b[k]
-        for j in range(k + 1, n):
-            s -= a[k, j] * b[j]
-        b[k] = s / a[k, k]
-    return -1
 
 
 @njit(cache=True)

@@ -64,13 +64,8 @@ class ContractionPreconditionError(InversePointError):
 
 
 class SingularJacobianError(InversePointError):
-    """Elimination hit a pivot below the singularity threshold."""
-
-    def __init__(self, column: int, message: str | None = None):
-        if message is None:
-            message = f"Jacobian is numerically singular (pivot column {column} below 1e-300)"
-        super().__init__(message)
-        self.column = column
+    """The Newton step cannot be solved: LAPACK found an exactly zero pivot
+    in the Jacobian, or the step it returned is not finite."""
 
 
 class ConvergenceError(InversePointError):
@@ -83,11 +78,6 @@ class ConvergenceError(InversePointError):
     def __init__(self, message: str, result=None):
         super().__init__(message)
         self.result = result
-
-
-class StallError(InversePointError):
-    """Internal: the bracket gap stopped shrinking. Converted to a Newton
-    fallback (auto/bracket) or a ConvergenceError before reaching callers."""
 
 
 class OracleDivergenceError(InversePointError):

@@ -65,6 +65,17 @@ def test_solve_non_convergence_exit_2_emits_best(tmp_path, capsys):
     assert "error" in err
 
 
+def test_solve_singular_jacobian_exit_2_emits_best(tmp_path, capsys):
+    # The fixed-point iteration diverges and Newton meets a singular Jacobian.
+    path = write(tmp_path, "singular.csv", "0,2\n1,0\n")
+    code, out, err = run_cli(capsys, "solve", "--input", path)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["converged"] is False
+    assert payload["x"] == [0.5, 1.0]
+    assert "Jacobian" in err and "singular" in err
+
+
 def test_solve_malformed_input_exit_1(tmp_path, capsys):
     path = write(tmp_path, "bad.csv", "1,2\nx,4\n")
     code, out, err = run_cli(capsys, "solve", "--input", path)

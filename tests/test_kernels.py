@@ -128,24 +128,6 @@ def test_newton_system_loop_matches_numpy():
         assert np.max(np.abs(g1 - g2)) <= 1e-13 * (1.0 + np.max(np.abs(g1)))
 
 
-def test_gauss_solve_matches_numpy_solve():
-    rng = np.random.default_rng(4)
-    for _ in range(40):
-        n = int(rng.integers(1, 8))
-        a = rng.normal(size=(n, n)) + n * np.eye(n)
-        b = rng.normal(size=n)
-        expected = np.linalg.solve(a, b)
-        got = b.copy()
-        assert _kernels.gauss_solve(a.copy(), got) == -1
-        assert np.max(np.abs(got - expected)) <= 1e-10 * (1.0 + np.max(np.abs(expected)))
-
-
-def test_gauss_solve_reports_singular_column():
-    a = np.array([[1.0, 2.0], [2.0, 4.0]])  # rank 1
-    b = np.array([1.0, 2.0])
-    assert _kernels.gauss_solve(a, b) == 1
-
-
 def test_oracle_sweeps_converges_on_small_system():
     m = np.array([[1.0, 3.0], [5.0, 2.0]])
     x = np.ones(2)

@@ -9,6 +9,7 @@ from inversepoint import (
     F_map,
     Matrix,
     NonNegativityError,
+    SingularJacobianError,
     SolverConfig,
     ValidationError,
     ZeroRowError,
@@ -62,7 +63,7 @@ def test_solve_triangular_matches_closed_form(triangular):
 def test_solve_zero_diag_matches_closed_form(zero_diag):
     res = solve(zero_diag)
     assert np.max(np.abs(res.x.values - ZERO_DIAG_X)) <= 1e-10
-    assert res.method_used in ("fixed_point", "newton")
+    assert (res.method_used, res.iterations) == ("fixed_point", 75)
     check_converged_invariants(zero_diag, res)
 
 
@@ -313,3 +314,102 @@ def test_solve_is_scale_invariant():
         res = solve(Matrix(a * s))
         check_converged_invariants(Matrix(a * s), res)
         assert np.max(np.abs(res.x.values - base / np.sqrt(s))) <= 1e-10 * np.max(base / np.sqrt(s))
+
+
+def test_solve_newton_singular_jacobian_raises():
+    # The Jacobian rows are [x2, x1] twice: singular at every point.
+    with pytest.raises(SingularJacobianError):
+        solve_newton(Matrix([[0, 1], [1, 0]]), [1.0, 2.0])
+
+
+def test_fixed_point_fallback_on_singular_jacobian_carries_best():
+    # The iteration from all-ones diverges; its best iterate (0.5, 1) has the
+    # Jacobian [[2, 1], [1, 0.5]], so the Newton fallback fails at once.
+    with pytest.raises(ConvergenceError) as err:
+        solve(Matrix([[0, 2], [1, 0]]))
+    assert "Jacobian" in str(err.value) and "singular" in str(err.value)
+    best = err.value.result
+    assert best.method_used == "fixed_point" and not best.converged
+    assert np.array_equal(best.x.values, [0.5, 1.0])
+
+
+def test_classify_and_validate_once_per_solve(monkeypatch, triangular, zero_diag):
+    import inversepoint.solver as solver_module
+
+    calls = {"classify": 0, "validate_solvable": 0}
+
+    def counting(name):
+        original = getattr(solver_module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(solver_module, name, counting(name))
+    runs = [
+        ("contraction", lambda: solve(triangular)),
+        ("newton", lambda: solve(Matrix([[1e-4, 1], [1, 1e-4]]))),
+        ("fixed_point", lambda: solve(zero_diag)),
+        ("newton", lambda: solve(Matrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))),
+        ("newton", lambda: multistart_uniqueness(zero_diag, starts=20)[0]),
+    ]
+    for method, run in runs:
+        calls.update(classify=0, validate_solvable=0)
+        assert run().method_used == method
+        assert calls == {"classify": 1, "validate_solvable": 1}, method
+
+
+def _one_zero_diagonal(rng, n):
+    a = random_positive_diagonal(rng, n).entries.copy()
+    a[0, 0] = 0.0
+    return Matrix(a)
+
+
+def _zero_diagonal(rng, n):
+    a = rng.uniform(0.0, 2.0, (n, n))
+    a[np.diag_indices(n)] = 0.0
+    return Matrix(a)
+
+
+def _weak_diagonal(rng, n):
+    a = rng.uniform(0.0, 2.0, (n, n))
+    a[np.diag_indices(n)] = 1e-4
+    return Matrix(a)
+
+
+# Each auto path on seeded inputs, n = rng.integers(2, 9): (recipe, seed,
+# method_used, iterations). Iterations are pinned only where no Newton step
+# runs; the zero and weak diagonals reach Newton through the fixed-point and
+# the bracket hand-offs.
+PINNED_PATHS = [
+    (random_contraction, 1, "contraction", 57),
+    (random_contraction, 2, "contraction", 77),
+    (random_contraction, 3, "contraction", 72),
+    (random_positive_diagonal, 1, "bracket", 52),
+    (random_positive_diagonal, 2, "bracket", 80),
+    (random_positive_diagonal, 3, "bracket", 94),
+    (_one_zero_diagonal, 1, "fixed_point", 81),
+    (_one_zero_diagonal, 2, "fixed_point", 104),
+    (_one_zero_diagonal, 3, "fixed_point", 135),
+    (_zero_diagonal, 1, "newton", None),
+    (_zero_diagonal, 2, "newton", None),
+    (_zero_diagonal, 3, "newton", None),
+    (_weak_diagonal, 1, "newton", None),
+    (_weak_diagonal, 2, "newton", None),
+    (_weak_diagonal, 3, "newton", None),
+]
+
+
+@pytest.mark.parametrize("recipe, seed, method, iterations", PINNED_PATHS)
+def test_auto_paths_are_pinned(recipe, seed, method, iterations):
+    rng = np.random.default_rng(seed)
+    m = recipe(rng, int(rng.integers(2, 9)))
+    res = solve(m)
+    check_converged_invariants(m, res)
+    assert res.method_used == method
+    if iterations is not None:
+        assert res.iterations == iterations
+

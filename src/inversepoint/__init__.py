@@ -2,13 +2,11 @@
 element-wise inverse: M x = (1/x_1, ..., 1/x_n), equivalently the diagonal
 scaling D = diag(x) making D M D row-stochastic.
 
-Hot kernels are numba-compiled when the [fast] extra is installed; set
-INVERSEPOINT_NUMBA=0 (or false/off/no, case-insensitive and whitespace-trimmed)
-before import to select the pure-numpy fallback. BACKEND names the backend in
-use and BACKEND_REASON says why it was chosen.
+The hot kernels are vectorized numpy; BACKEND names them and is always
+"numpy".
 """
 
-from ._kernels import BACKEND, BACKEND_REASON
+from ._kernels import BACKEND
 from .classify import (
     Classification,
     classify,
@@ -60,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND",
-    "BACKEND_REASON",
     "BracketState",
     "Classification",
     "ContractionPreconditionError",

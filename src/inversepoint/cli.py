@@ -10,7 +10,6 @@ non-convergence (the best iterate is still emitted).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .classify import classify
@@ -21,18 +20,13 @@ from .errors import (
     InversePointError,
     NonNegativityError,
     NotPrimitiveError,
-    OracleDivergenceError,
     ParseError,
-    SingularJacobianError,
     ValidationError,
     ZeroRowError,
 )
 from .fixedpoint import RowContext, f_value
 from .io import emit_classification, emit_result, parse_matrix
-from .oracle import _solve_with_sweeps
-from .solver import SolveResult, SolverConfig, solve
-
-SEED_ENV = "INVERSEPOINT_SEED"
+from .solver import SolverConfig, solve
 
 _INPUT_ERRORS = (
     ParseError,
@@ -42,7 +36,6 @@ _INPUT_ERRORS = (
     ZeroRowError,
     ContractionPreconditionError,
     NotPrimitiveError,
-    OracleDivergenceError,
 )
 
 
@@ -66,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument("--output", choices=["json", "tsv"], default="json")
     p_solve.add_argument("--trace", action="store_true", help="include the residual trace")
-    p_solve.add_argument("--use-oracle", action="store_true", help=argparse.SUPPRESS)
 
     p_check = sub.add_parser("check", help="emit the matrix classification as JSON")
     p_check.add_argument("--input", required=True, help="matrix file")
@@ -96,24 +88,6 @@ def _run_solve(args) -> int:
         max_iter=args.max_iter,
         method=args.method.replace("-", "_"),
     )
-    seed_raw = os.environ.get(SEED_ENV)
-    if seed_raw:
-        config.seed = int(seed_raw)
-    if args.use_oracle:
-        x, sweeps = _solve_with_sweeps(mtx, args.tol, 10**6)
-        from .fixedpoint import residual as system_residual
-
-        result = SolveResult(
-            x=x,
-            residual=system_residual(mtx, x.values),
-            iterations=sweeps,
-            method_used="oracle",
-            classification=classify(mtx),
-            converged=True,
-            trace=None,
-        )
-        sys.stdout.write(emit_result(result, args.output, matrix=mtx, include_trace=args.trace))
-        return 0
     try:
         result = solve(mtx, config)
     except ConvergenceError as err:
@@ -180,10 +154,7 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except SingularJacobianError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except InversePointError as err:  # ConvergenceError without a result, etc.
+    except InversePointError as err:  # SingularJacobianError, ConvergenceError without a result
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -2,21 +2,66 @@
 
 Deliberately different machinery: a fixed-order coordinate-descent sweep
 whose per-row scalar quadratic is solved by bisection, never by the closed
-form the solver uses. Small n only; performance is a non-goal.
+form the solver uses, and whose loops are written out element by element
+so that they share no kernel with the solver path. Small n only;
+performance is a non-goal.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import _kernels
 from .core import PositiveVector, as_matrix, validate_solvable
 from .errors import OracleDivergenceError, ValidationError
 
 MAX_ORACLE_N = 5
 
 
-def _solve_with_sweeps(M, tol: float, max_sweeps: int):
+def _sweeps(m, x, tol, max_sweeps):
+    """Sweep i = 0..n-1 in order, setting x_i to the positive root of row i's
+    scalar quadratic found by bisection on [1e-12, 1e6]. Updates x in place.
+
+    Returns (status, sweeps): status 0 converged, 1 sweep budget exhausted,
+    2 bisection bracket failed (no sign change on the interval).
+    """
+    n = m.shape[0]
+    for sweep in range(max_sweeps):
+        for i in range(n):
+            b = 0.0
+            for j in range(n):
+                if j != i:
+                    b += m[i, j] * x[j]
+            mii = m[i, i]
+            lo = 1e-12
+            hi = 1e6
+            glo = mii * lo * lo + b * lo - 1.0
+            ghi = mii * hi * hi + b * hi - 1.0
+            if glo > 0.0 or ghi < 0.0:
+                return 2, sweep
+            while hi - lo > 1e-15 * (1.0 + lo):
+                mid = 0.5 * (lo + hi)
+                if mid <= lo or mid >= hi:
+                    break
+                if mii * mid * mid + b * mid - 1.0 > 0.0:
+                    hi = mid
+                else:
+                    lo = mid
+            x[i] = 0.5 * (lo + hi)
+        # Residual computed inline to keep the oracle free of solver code.
+        worst = 0.0
+        for i in range(n):
+            s = 0.0
+            for j in range(n):
+                s += m[i, j] * x[j]
+            r = abs(x[i] * s - 1.0)
+            if r > worst:
+                worst = r
+        if worst <= tol:
+            return 0, sweep + 1
+    return 1, max_sweeps
+
+
+def oracle_solve(M, tol: float = 1e-12, max_sweeps: int = 10**6) -> PositiveVector:
     mtx = as_matrix(M)
     if mtx.n > MAX_ORACLE_N:
         raise ValidationError(f"oracle supports n <= {MAX_ORACLE_N}, got n = {mtx.n}")
@@ -24,7 +69,7 @@ def _solve_with_sweeps(M, tol: float, max_sweeps: int):
         raise ValidationError("tol must be positive")
     validate_solvable(mtx)
     x = np.ones(mtx.n)
-    status, sweeps = _kernels.oracle_sweeps(mtx.entries, x, tol, max_sweeps)
+    status, sweeps = _sweeps(mtx.entries, x, tol, max_sweeps)
     if status == 2:
         raise OracleDivergenceError(
             f"bisection bracket [1e-12, 1e6] does not straddle a root after {sweeps} sweeps"
@@ -33,9 +78,4 @@ def _solve_with_sweeps(M, tol: float, max_sweeps: int):
         raise OracleDivergenceError(
             f"coordinate descent did not reach tol={tol} within {max_sweeps} sweeps"
         )
-    return PositiveVector(x), sweeps
-
-
-def oracle_solve(M, tol: float = 1e-12, max_sweeps: int = 10**6) -> PositiveVector:
-    x, _ = _solve_with_sweeps(M, tol, max_sweeps)
-    return x
+    return PositiveVector(x)

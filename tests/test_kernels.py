@@ -1,16 +1,9 @@
-"""Backend cross-checks: the loop kernels (numba-compiled when numba is
-installed, plain Python otherwise) and their numpy twins must agree, and the
-backend choice must follow its contract: numba iff numba imports and
-INVERSEPOINT_NUMBA does not disable it, with BACKEND_REASON naming the branch
-taken."""
-
-import json
-import os
-import subprocess
-import sys
+"""Reference checks for the numpy kernels: each one against the formula it
+implements, written out row by row."""
 
 import numpy as np
 
+import inversepoint as ip
 from inversepoint import _kernels
 
 
@@ -21,55 +14,13 @@ def _random_system(rng, n):
     return m, x
 
 
-def _run_child(script, **env):
-    """Run script in a fresh interpreter with env added; return its stdout
-    parsed as JSON."""
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, **env),
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+def _defect_by_rows(m, x):
+    n = m.shape[0]
+    return np.array([x[i] * sum(m[i, j] * x[j] for j in range(n)) - 1.0 for i in range(n)])
 
 
-def test_backend_is_numba_by_default():
-    """numba is the backend iff it imports and INVERSEPOINT_NUMBA (stripped,
-    lower-cased) is not one of 0/false/off/no; BACKEND_REASON names the
-    branch. With numba installed and the flag unset, numba is the default."""
-    raw = os.environ.get("INVERSEPOINT_NUMBA")
-    flag_allows = raw is None or raw.strip().lower() not in ("0", "false", "off", "no")
-    try:
-        import numba  # noqa: F401
-    except ImportError as exc:
-        import_error = str(exc)
-    else:
-        import_error = None
-
-    if not flag_allows:
-        assert _kernels.BACKEND == "numpy"
-        assert _kernels.BACKEND_REASON == f"disabled by INVERSEPOINT_NUMBA={raw}"
-    elif import_error is not None:
-        assert _kernels.BACKEND == "numpy"
-        assert _kernels.BACKEND_REASON == f"numba not importable: {import_error}"
-    else:
-        assert _kernels.BACKEND == "numba"
-        assert _kernels.BACKEND_REASON == "numba imported"
-
-
-def test_numpy_fallback_when_numba_not_importable():
-    """With numba blocked from importing, the package falls back to numpy and
-    says why, even on a machine that has numba."""
-    script = (
-        "import json, sys\n"
-        "sys.modules['numba'] = None\n"
-        "import inversepoint as ip\n"
-        "print(json.dumps({'backend': ip.BACKEND, 'reason': ip.BACKEND_REASON}))\n"
-    )
-    payload = _run_child(script, INVERSEPOINT_NUMBA="1")
-    assert payload["backend"] == "numpy"
-    assert payload["reason"].startswith("numba not importable: ")
+def test_backend_is_numpy():
+    assert ip.BACKEND == "numpy"
 
 
 def test_positive_root_satisfies_quadratic():
@@ -83,75 +34,61 @@ def test_positive_root_satisfies_quadratic():
     assert np.isnan(_kernels.positive_root(0.0, 0.0))
 
 
-def test_f_apply_loop_matches_numpy():
+def test_f_apply_matches_per_row_positive_root():
     rng = np.random.default_rng(1)
     for _ in range(50):
         n = int(rng.integers(1, 7))
         m, x = _random_system(rng, n)
-        a = np.empty(n)
-        b = np.empty(n)
-        assert _kernels.f_apply_loop(m, x, a) == -1
-        assert _kernels.f_apply_numpy(m, x, b) == -1
-        assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(a))
+        if n > 1:
+            m[0, 0] = 0.0  # one zero diagonal: the root is 1/b
+        expected = np.array(
+            [_kernels.positive_root(m[i, i], m[i] @ x - m[i, i] * x[i]) for i in range(n)]
+        )
+        out = np.empty(n)
+        assert _kernels.f_apply(m, x, out) == -1
+        assert np.max(np.abs(out - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
-def test_f_apply_zero_row_sentinel_agrees():
-    m = np.array([[0.0, 0.0], [1.0, 1.0]])
-    x = np.zeros(2)
-    out = np.empty(2)
-    assert _kernels.f_apply_loop(m, x, out) == 0
-    assert _kernels.f_apply_numpy(m, x, out) == 0
+def test_f_apply_returns_first_undefined_row():
+    # Rows 1 and 2 have a zero diagonal and b = 0; row 0 is defined.
+    m = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    x = np.array([0.0, 1.0, 1.0])
+    assert _kernels.f_apply(m, x, np.empty(3)) == 1
 
 
-def test_residual_loop_matches_numpy():
+def test_quad_defect_and_residual_match_written_out_sum():
     rng = np.random.default_rng(2)
     for _ in range(50):
         n = int(rng.integers(1, 7))
         m, x = _random_system(rng, n)
-        a = _kernels.residual_loop(m, x)
-        b = _kernels.residual_numpy(m, x)
-        assert abs(a - b) <= 1e-13 * (1.0 + abs(a))
+        expected = _defect_by_rows(m, x)
+        out = np.empty(n)
+        _kernels.quad_defect(m, x, out)
+        assert np.max(np.abs(out - expected)) <= 1e-13 * (1.0 + np.max(np.abs(expected)))
+        worst = np.max(np.abs(expected))
+        assert abs(_kernels.residual_inf(m, x) - worst) <= 1e-13 * (1.0 + worst)
 
 
-def test_newton_system_loop_matches_numpy():
+def test_newton_system_is_defect_and_its_jacobian():
     rng = np.random.default_rng(3)
     for _ in range(30):
         n = int(rng.integers(1, 7))
         m, x = _random_system(rng, n)
-        j1 = np.empty((n, n))
-        g1 = np.empty(n)
-        j2 = np.empty((n, n))
-        g2 = np.empty(n)
-        _kernels.newton_system_loop(m, x, j1, g1)
-        _kernels.newton_system_numpy(m, x, j2, g2)
-        assert np.max(np.abs(j1 - j2)) <= 1e-13 * (1.0 + np.max(np.abs(j1)))
-        assert np.max(np.abs(g1 - g2)) <= 1e-13 * (1.0 + np.max(np.abs(g1)))
+        jac = np.empty((n, n))
+        g = np.empty(n)
+        _kernels.newton_system(m, x, jac, g)
+        defect = np.empty(n)
+        _kernels.quad_defect(m, x, defect)
+        assert np.array_equal(g, defect)
 
-
-def test_oracle_sweeps_converges_on_small_system():
-    m = np.array([[1.0, 3.0], [5.0, 2.0]])
-    x = np.ones(2)
-    status, sweeps = _kernels.oracle_sweeps(m, x, 1e-12, 10**6)
-    assert status == 0
-    assert sweeps < 1000
-    assert _kernels.residual_numpy(m, x) <= 1e-12
-
-
-def test_numpy_fallback_end_to_end():
-    """Import the package with INVERSEPOINT_NUMBA=0 in a subprocess and check
-    the numpy backend reports the flag as its reason and reproduces the
-    in-process solution (computed on whichever backend this process runs)."""
-    from inversepoint import Matrix, solve
-
-    expected = solve(Matrix([[1, 3], [5, 2]])).x.values
-    script = (
-        "import json, numpy as np\n"
-        "import inversepoint as ip\n"
-        "assert ip.BACKEND == 'numpy', ip.BACKEND\n"
-        "assert ip.BACKEND_REASON == 'disabled by INVERSEPOINT_NUMBA=0', ip.BACKEND_REASON\n"
-        "res = ip.solve(ip.Matrix([[1, 3], [5, 2]]))\n"
-        "print(json.dumps({'x': list(res.x.values), 'converged': res.converged}))\n"
-    )
-    payload = _run_child(script, INVERSEPOINT_NUMBA="0")
-    assert payload["converged"] is True
-    assert np.max(np.abs(np.array(payload["x"]) - expected)) <= 1e-12
+        fd = np.empty((n, n))
+        for j in range(n):
+            h = 1e-6 * x[j]
+            up, down = x.copy(), x.copy()
+            up[j] += h
+            down[j] -= h
+            g_up, g_down = np.empty(n), np.empty(n)
+            _kernels.quad_defect(m, up, g_up)
+            _kernels.quad_defect(m, down, g_down)
+            fd[:, j] = (g_up - g_down) / (2.0 * h)
+        assert np.max(np.abs(jac - fd)) <= 1e-7 * np.max(np.abs(jac))

@@ -11,11 +11,21 @@ from inversepoint import (
     residual,
     solve,
 )
+from inversepoint.oracle import _sweeps
 
 
 def test_oracle_identity():
     x = oracle_solve(Matrix(np.eye(3)))
     assert np.max(np.abs(x.values - 1.0)) <= 1e-12
+
+
+def test_oracle_sweeps_converges_on_small_system():
+    m = np.array([[1.0, 3.0], [5.0, 2.0]])
+    x = np.ones(2)
+    status, sweeps = _sweeps(m, x, 1e-12, 10**6)
+    assert status == 0
+    assert sweeps < 1000
+    assert residual(m, x) <= 1e-12
 
 
 def test_oracle_certifies_its_own_residual(curves_2d, curves_3d):

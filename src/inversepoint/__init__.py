@@ -14,7 +14,6 @@ from .classify import (
     has_positive_diagonal,
     is_primitive,
     perron_vector,
-    wielandt_exponent,
 )
 from .core import (
     Matrix,
@@ -104,5 +103,4 @@ __all__ = [
     "solve_bracket",
     "solve_contraction",
     "solve_newton",
-    "wielandt_exponent",
 ]

@@ -39,6 +39,11 @@ def f_apply(m, x, out) -> int:
         return int(np.nonzero(bad)[0][0])
     # For d == 0 rows this evaluates to 2/(b + |b|) = 1/b.
     out[:] = 2.0 / (b + np.sqrt(b * b + 4.0 * d))
+    if np.count_nonzero(out) < out.size:
+        # b * b overflowed (b above about 1.3e154): factor b out of the root.
+        big = out == 0.0
+        bb, db = b[big], d[big]
+        out[big] = 2.0 / (bb * (1.0 + np.sqrt(1.0 + 4.0 * (db / bb) / bb)))
     return -1
 
 

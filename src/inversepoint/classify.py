@@ -28,33 +28,53 @@ class Classification:
     has_zero_row: bool
 
 
-def wielandt_exponent(n: int) -> int:
-    """Universal power at which a primitive n-by-n matrix must be positive."""
-    return (n - 1) ** 2 + 1
-
-
 def _require_nonnegative(mtx: Matrix) -> None:
     if (mtx.entries < 0).any():
         raise NonNegativityError("operation requires a nonnegative matrix")
 
 
-def is_primitive(M) -> bool:
-    """True iff some power of M (up to the Wielandt exponent) is positive.
+def _bfs_levels(adj: np.ndarray) -> np.ndarray:
+    """Breadth-first distance from node 0 along the edges i -> j where
+    adj[i, j] is true; -1 marks a node that cannot be reached. Each node
+    enters the frontier once, so the row reads total O(n^2)."""
+    n = adj.shape[0]
+    level = np.full(n, -1, dtype=np.int32)  # int32 halves the n^2 gcd input
+    level[0] = 0
+    frontier = level == 0
+    reached = depth = 1
+    while reached < n:
+        frontier = adj[frontier].any(axis=0) & (level < 0)
+        found = np.count_nonzero(frontier)
+        if not found:
+            break
+        level[frontier] = depth
+        reached += found
+        depth += 1
+    return level
 
-    Works on the zero/nonzero pattern over the boolean semiring, by repeated
-    squaring: once a power is all-positive it stays so (a primitive matrix has
-    no zero row), so checking the first power of two past the bound suffices.
-    For n = 1 the convention is primitive iff m_11 > 0.
+
+def is_primitive(M) -> bool:
+    """True iff M is irreducible with period 1, i.e. some power of M is positive.
+
+    A graph test on the zero/nonzero pattern (Denardo, Math. Oper. Res. 1977):
+    M is irreducible iff a breadth-first search from node 0 reaches every node
+    both along the edges i -> j (m_ij > 0) and against them. The period of an
+    irreducible pattern is the gcd of level[i] + 1 - level[j] over its edges,
+    with level the BFS distance from node 0; a positive diagonal entry is a
+    cycle of length 1. For n = 1 this gives primitive iff m_11 > 0.
     """
     mtx = as_matrix(M)
     _require_nonnegative(mtx)
     pattern = mtx.entries > 0
-    k = 1
-    target = wielandt_exponent(mtx.n)
-    while k < target:
-        pattern = (pattern.astype(np.int64) @ pattern.astype(np.int64)) > 0
-        k *= 2
-    return bool(pattern.all())
+    if pattern.all():
+        return True
+    level = _bfs_levels(pattern)
+    if (level < 0).any() or (_bfs_levels(pattern.T) < 0).any():
+        return False
+    if np.diagonal(pattern).any():
+        return True
+    lengths = (level[:, None] + 1 - level[None, :])[pattern]
+    return bool(np.gcd.reduce(lengths) == 1)
 
 
 def has_positive_diagonal(M) -> bool:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from inversepoint import (
     has_positive_diagonal,
     is_primitive,
     perron_vector,
-    wielandt_exponent,
 )
 
 
@@ -47,10 +48,47 @@ def test_square_of_primitive_is_primitive():
         assert is_primitive(Matrix(m.entries @ m.entries)) is True
 
 
-def test_wielandt_exponent():
-    assert wielandt_exponent(1) == 1
-    assert wielandt_exponent(3) == 5
-    assert wielandt_exponent(5) == 17
+def _primitive_by_boolean_powers(a):
+    """Reference: square the 0/1 pattern until past the Wielandt exponent
+    (n-1)^2 + 1, the power at which a primitive matrix must be positive."""
+    pattern = a > 0
+    k, target = 1, (a.shape[0] - 1) ** 2 + 1
+    while k < target:
+        pattern = (pattern.astype(np.int64) @ pattern.astype(np.int64)) > 0
+        k *= 2
+    return bool(pattern.all())
+
+
+@pytest.mark.parametrize("zero_diagonal", [False, True])
+def test_is_primitive_matches_boolean_powers(zero_diagonal):
+    rng = np.random.default_rng(25)
+    for _ in range(400):
+        n = int(rng.integers(1, 9))
+        a = rng.random((n, n)) < rng.uniform(0.1, 0.9)
+        if zero_diagonal:
+            np.fill_diagonal(a, False)
+        a = a * rng.uniform(0.1, 5.0, (n, n))
+        assert is_primitive(Matrix(a)) is _primitive_by_boolean_powers(a)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 12, 17])
+def test_is_primitive_cycle_with_one_chord(n):
+    # The directed n-cycle 0 -> n-1 -> ... -> 1 -> 0 plus the chord 0 -> k
+    # has cycles of lengths n and k + 1, so its period is gcd(n, k + 1).
+    for k in range(n):
+        a = np.zeros((n, n))
+        a[np.arange(n), np.arange(n) - 1] = 1.0
+        a[0, k] = 1.0
+        assert is_primitive(Matrix(a)) is (math.gcd(n, k + 1) == 1)
+
+
+def test_is_primitive_large_cycle():
+    n = 400
+    a = np.zeros((n, n))
+    a[np.arange(n), np.arange(n) - 1] = 1.0
+    assert is_primitive(Matrix(a)) is False  # period n
+    a[n // 2, n // 2] = 1.0
+    assert is_primitive(Matrix(a)) is True
 
 
 def test_has_positive_diagonal(triangular, zero_diag):

@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import TRIANGULAR_X, ZERO_DIAG_X
+import inversepoint
 from inversepoint import solve
 from inversepoint.cli import main
 
@@ -19,6 +22,15 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def child_env():
+    """Environment in which a child interpreter imports the same inversepoint
+    as this process, also when only pytest's pythonpath setting found it."""
+    src = str(Path(inversepoint.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def run_cli(capsys, *argv):
@@ -232,6 +244,7 @@ def test_cli_output_byte_identical_across_runs(tmp_path):
         subprocess.run(
             [sys.executable, "-m", "inversepoint.cli", "solve", "--input", path, "--trace"],
             capture_output=True,
+            env=child_env(),
         )
         for _ in range(2)
     ]
@@ -245,6 +258,7 @@ def test_console_entry_point_runs(tmp_path):
         [sys.executable, "-m", "inversepoint.cli", "check", "--input", path],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["positive_diagonal"] is True

@@ -2,6 +2,7 @@
 implements, written out row by row."""
 
 import numpy as np
+import pytest
 
 import inversepoint as ip
 from inversepoint import _kernels
@@ -54,6 +55,15 @@ def test_f_apply_returns_first_undefined_row():
     m = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     x = np.array([0.0, 1.0, 1.0])
     assert _kernels.f_apply(m, x, np.empty(3)) == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_f_apply_survives_overflow_of_b_squared():
+    # b = 1e200 on a zero diagonal: b * b overflows, the root is 1/b.
+    m = np.array([[0.0, 1e200], [1e200, 0.0]])
+    out = np.empty(2)
+    assert _kernels.f_apply(m, np.ones(2), out) == -1
+    assert np.allclose(out * 1e200, 1.0, rtol=1e-15, atol=0.0)
 
 
 def test_quad_defect_and_residual_match_written_out_sum():

@@ -316,6 +316,20 @@ def test_solve_is_scale_invariant():
         assert np.max(np.abs(res.x.values - base / np.sqrt(s))) <= 1e-10 * np.max(base / np.sqrt(s))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_solve_huge_zero_diagonal_is_not_a_zero_row():
+    # At scale 1e300, b * b overflows in the root update. The update must still
+    # give about 1/b, not 0, which the next round would take for a vanishing
+    # row (ZeroRowError). Newton does not converge at this scale yet, so a
+    # ConvergenceError carrying a positive iterate is accepted.
+    m = Matrix(1e300 * np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]))
+    try:
+        res = solve(m)
+    except ConvergenceError as err:
+        res = err.result
+    assert (res.x.values > 0).all() and np.isfinite(res.x.values).all()
+
+
 def test_solve_newton_singular_jacobian_raises():
     # The Jacobian rows are [x2, x1] twice: singular at every point.
     with pytest.raises(SingularJacobianError):

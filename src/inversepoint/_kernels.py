@@ -34,11 +34,15 @@ def f_apply(m, x, out) -> int:
     (zero diagonal and zero off-diagonal contribution)."""
     d = np.diagonal(m)
     b = m @ x - d * x
-    bad = (d == 0.0) & (b <= 0.0)
+    zero = d == 0.0
+    bad = zero & (b <= 0.0)
     if bad.any():
         return int(np.nonzero(bad)[0][0])
-    # For d == 0 rows this evaluates to 2/(b + |b|) = 1/b.
     out[:] = 2.0 / (b + np.sqrt(b * b + 4.0 * d))
+    # A zero-diagonal row's root is 1/b. The expression above gives 2/(b + |b|),
+    # which is 1/b bitwise unless b * b underflows (b below about 1.5e-154),
+    # where it gives 2/b.
+    np.divide(1.0, b, out=out, where=zero)
     if np.count_nonzero(out) < out.size:
         # b * b overflowed (b above about 1.3e154): factor b out of the root.
         big = out == 0.0

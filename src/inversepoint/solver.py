@@ -1,5 +1,10 @@
-"""Solvers for x_i * (Mx)_i = 1: nested-box bracketing, contraction
-iteration, damped Newton, and an auto mode that picks by classification.
+"""Solvers for x_i * (Mx)_i = 1: log-space Newton, nested-box bracketing,
+contraction iteration, plain fixed-point iteration, and an auto mode.
+
+Auto runs Newton first, from 1/sqrt(rowsum(M)); only if Newton fails does it
+fall back to the paper's iterations, picked by classification. solve_newton is
+the one Newton of the package: damped Newton in y = log x on M normalised by a
+power of four, so that x(4^j M) = x(M) / 2^j holds bitwise.
 
 Every public solver returns a SolveResult whose converged flag means
 residual <= config.tol at the returned point; running out of budget raises
@@ -40,9 +45,14 @@ STALL_ROUNDS = 10
 # into overflow would make the failure mode backend-dependent).
 DIVERGENCE_LIMIT = 1e100
 
-# Newton halves a step at most this many times looking for a positive iterate
-# with a smaller defect.
+# Newton halves a step at most this many times looking for a smaller log
+# defect.
 NEWTON_MAX_HALVINGS = 40
+
+# Auto's Newton pass hands over to the iterations after this many steps. A
+# step costs O(n^3) where an F round costs O(n^2), so max_iter is no bound for
+# it; on the benchmark inputs and the hard cases it needs at most seven.
+AUTO_NEWTON_MAX_STEPS = 100
 
 
 @dataclass
@@ -119,13 +129,20 @@ def solve(M, config: SolverConfig | None = None) -> SolveResult:
 
 
 def solve_auto(M, config: SolverConfig | None = None) -> SolveResult:
-    """Pick the strongest applicable strategy: contraction iteration when
-    2*m_ii > m_ij everywhere, else bracketing when the diagonal is positive,
-    else plain fixed-point iteration from all-ones with a Newton fallback."""
+    """Log-space Newton from 1/sqrt(rowsum(M)), at most AUTO_NEWTON_MAX_STEPS
+    steps. If it fails, the paper's iterations take over unchanged:
+    contraction iteration when 2*m_ii > m_ij everywhere, else bracketing when
+    the diagonal is positive, else plain fixed-point iteration from all-ones
+    with a Newton fallback. A fallback result counts only its own iterations."""
     mtx = as_matrix(M)
     config = config or SolverConfig()
     validate_solvable(mtx)
     cls = classify(mtx)
+    first = replace(config, max_iter=min(config.max_iter, AUTO_NEWTON_MAX_STEPS))
+    try:
+        return solve_newton(mtx, _newton_start(mtx.entries), first, _cls=cls)
+    except (ConvergenceError, SingularJacobianError):
+        pass
     if cls.contraction_condition:
         return _contraction(mtx, cls, config)
     if cls.positive_diagonal:
@@ -305,60 +322,106 @@ def _finish_with_newton(mtx, cls, config, x, iterations, trace, method, *, budge
     return replace(fin, iterations=iterations + fin.iterations, trace=np.concatenate([trace, fin.trace]))
 
 
-def solve_newton(M, x0, config: SolverConfig | None = None, *, _cls=None) -> SolveResult:
-    """Damped Newton on G_i(x) = x_i*(Mx)_i - 1 from a positive start.
+def _normalise(m):
+    """(A, k) with A = M / 4^k, k = frexp(max M)[1] // 2, so that max A lies
+    in [0.5, 2); A is M itself when k = 0. Scaling by a power of two is exact
+    in floating point, so x(M) = x(A) / 2^k bitwise unless an entry of A
+    leaves the normal range."""
+    k = int(np.frexp(np.max(m))[1]) // 2
+    return (np.ldexp(m, -2 * k) if k else m), k
 
-    The Jacobian is J_ij = x_i*m_ij + delta_ij*(Mx)_i and each step is solved
-    by LAPACK; steps are halved until the defect norm decreases and the
-    iterate stays strictly positive. A singular Jacobian (an exactly zero
-    pivot, or a step that is not finite) raises SingularJacobianError.
+
+def _newton_start(m):
+    """1/sqrt(rowsum(M)), with the row sums taken on A = M / 4^k: those of M
+    can overflow near 1.8e308, those of A are at most 2n."""
+    a, k = _normalise(m)
+    return np.ldexp(1.0 / np.sqrt(a.sum(axis=1)), -k)
+
+
+def solve_newton(M, x0, config: SolverConfig | None = None, *, _cls=None) -> SolveResult:
+    """Damped Newton in log space, y = log x, from a positive start.
+
+    It solves G(y) = log(x_i*(Ax)_i) = 0 on the normalised A = M / 4^k of
+    _normalise, from x0 * 2^k, and returns x / 2^k. With the quadratic defect
+    d = x*(Ax) - 1, g = log1p(d) and the quadratic Jacobian
+    J_ij = x_i*a_ij + delta_ij*(Ax)_i, the log-space step s solves
+    (I + diag(1/Ax) A diag(x)) s = -g; it is u / x where J u = -(1+d)*g,
+    solved by LAPACK. The trial x*exp(lam*s) is positive by construction, and
+    lam is halved until max|g| decreases. Stops once max|d| <= tol. A
+    singular Jacobian (an exactly zero pivot, or a step that is not finite)
+    raises SingularJacobianError; a residual on M above tol at the end raises
+    ConvergenceError.
     """
     mtx = as_matrix(M)
     config = config or SolverConfig()
-    x = as_positive_vector(x0).values.copy()
+    x = as_positive_vector(x0).values
     if x.shape[0] != mtx.n:
         raise ValidationError(f"start point has length {x.shape[0]}, expected {mtx.n}")
-    m = mtx.entries
+    a, k = _normalise(mtx.entries)
+    x = np.ldexp(x, k)
     n = mtx.n
-    g = np.empty(n)
+    d = np.empty(n)
+    dt = np.empty(n)
     jac = np.empty((n, n))
-    gt = np.empty(n)
-    _kernels.quad_defect(m, x, g)
-    gn = float(np.max(np.abs(g)))
-    trace = [gn]
+    g, gn = _log_defect(a, x, d)
+    dn = float(np.max(np.abs(d)))
+    trace = [dn]
     iterations = 0
-    while gn > config.tol:
+    if not np.isfinite(gn):
+        best = _result(mtx, np.ldexp(x, -k), 0, "newton", trace, False, _cls)
+        raise ConvergenceError(
+            "newton: the start point is too far off: the log defect log1p(x*(Mx) - 1) "
+            "is not finite there",
+            result=best,
+        )
+    while dn > config.tol:
         if iterations >= config.max_iter:
-            raise _budget_error(mtx, x, iterations, "newton", trace, _cls)
-        _kernels.newton_system(m, x, jac, g)
+            raise _budget_error(mtx, np.ldexp(x, -k), iterations, "newton", trace, _cls)
+        _kernels.newton_system(a, x, jac, d)
         try:
-            step = np.linalg.solve(jac, -g)
+            u = np.linalg.solve(jac, -(1.0 + d) * g)
         except np.linalg.LinAlgError:
-            step = None
-        if step is None or not np.isfinite(step).all():
+            u = None
+        if u is None or not np.isfinite(u).all():
             raise SingularJacobianError(f"newton: the Jacobian is singular at iteration {iterations}")
+        s = u / x
         lam = 1.0
-        accepted = False
         for _ in range(NEWTON_MAX_HALVINGS + 1):
-            xt = x + lam * step
-            if (xt > 0).all():
-                _kernels.quad_defect(m, xt, gt)
-                gtn = float(np.max(np.abs(gt)))
-                if gtn < gn:
-                    x, gn = xt, gtn
-                    accepted = True
-                    break
+            with np.errstate(over="ignore"):
+                xt = x * np.exp(lam * s)
+            gt, gtn = _log_defect(a, xt, dt)
+            if gtn < gn:
+                break
             lam *= 0.5
-        if not accepted:
-            best = _result(mtx, x, iterations, "newton", trace, False, _cls)
+        else:
+            best = _result(mtx, np.ldexp(x, -k), iterations, "newton", trace, False, _cls)
             raise ConvergenceError(
-                f"newton: line search could not reduce the defect below {gn:.3e} "
+                f"newton: line search could not reduce the log defect below {gn:.3e} "
                 f"within {NEWTON_MAX_HALVINGS} halvings",
                 result=best,
             )
+        x, g, gn, d, dt = xt, gt, gtn, dt, d
+        dn = float(np.max(np.abs(d)))
         iterations += 1
-        trace.append(gn)
-    return _result(mtx, x, iterations, "newton", trace, True, _cls)
+        trace.append(dn)
+    res = _result(mtx, np.ldexp(x, -k), iterations, "newton", trace, True, _cls)
+    if res.residual > config.tol:
+        raise ConvergenceError(
+            f"newton: defect {dn:.3e} on the normalised matrix but residual "
+            f"{res.residual:.3e} on M",
+            result=replace(res, converged=False),
+        )
+    return res
+
+
+def _log_defect(a, x, d):
+    """Fill d with the quadratic defect x*(Ax) - 1 and return g = log1p(d)
+    with max|g|. A product that overflowed or vanished gives an infinite or
+    NaN norm, which no line search accepts, instead of a warning."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        _kernels.quad_defect(a, x, d)
+        g = np.log1p(d)
+    return g, float(np.max(np.abs(g)))
 
 
 def multistart_uniqueness(M, config: SolverConfig | None = None, starts: int = 20):

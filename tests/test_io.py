@@ -109,7 +109,7 @@ def test_emit_result_json_keys_and_values(triangular):
     assert abs(payload["x"][0] - 1.0) <= 1e-10
     assert abs(payload["x"][2] - TRIANGULAR_X[2]) <= 1e-10
     assert payload["converged"] is True
-    assert payload["method"] == "contraction"
+    assert payload["method"] == "newton"
     assert payload["classification"]["contraction_constant"] == 0.5
     assert payload["classification"]["primitive"] is False
     assert max(abs(s - 1.0) for s in payload["row_sums"]) <= 1e-10

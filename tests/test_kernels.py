@@ -66,6 +66,14 @@ def test_f_apply_survives_overflow_of_b_squared():
     assert np.allclose(out * 1e200, 1.0, rtol=1e-15, atol=0.0)
 
 
+def test_f_apply_survives_underflow_of_b_squared():
+    # b = 1e-200 on a zero diagonal: b * b underflows to 0, the root is 1/b.
+    m = np.array([[0.0, 1e-200], [1e-200, 0.0]])
+    out = np.empty(2)
+    assert _kernels.f_apply(m, np.ones(2), out) == -1
+    assert np.array_equal(out, 1.0 / m[0, 1] * np.ones(2))
+
+
 def test_quad_defect_and_residual_match_written_out_sum():
     rng = np.random.default_rng(2)
     for _ in range(50):

@@ -56,14 +56,14 @@ def test_solve_identity_defaults():
 def test_solve_triangular_matches_closed_form(triangular):
     res = solve(triangular)
     assert np.max(np.abs(res.x.values - TRIANGULAR_X)) <= 1e-10
-    assert res.method_used == "contraction"
+    assert (res.method_used, res.iterations) == ("newton", 3)
     check_converged_invariants(triangular, res)
 
 
 def test_solve_zero_diag_matches_closed_form(zero_diag):
     res = solve(zero_diag)
     assert np.max(np.abs(res.x.values - ZERO_DIAG_X)) <= 1e-10
-    assert (res.method_used, res.iterations) == ("fixed_point", 75)
+    assert (res.method_used, res.iterations) == ("newton", 2)
     check_converged_invariants(zero_diag, res)
 
 
@@ -216,10 +216,11 @@ def test_solve_newton_budget_error_carries_best(curves_2d):
 
 
 def test_solve_auto_method_selection(triangular, zero_diag, counterexample):
-    assert solve_auto(triangular).method_used == "contraction"
-    assert solve_auto(zero_diag).method_used in ("fixed_point", "newton")
-    res = solve_auto(counterexample)
-    assert res.method_used in ("bracket", "newton")
+    # Newton runs first; the counterexample has constant row sums, so the
+    # start 1/sqrt(rowsum) is already the solution.
+    for m, iterations in ((triangular, 3), (zero_diag, 2), (counterexample, 0)):
+        res = solve_auto(m)
+        assert (res.method_used, res.iterations) == ("newton", iterations)
     assert np.max(np.abs(res.x.values - INV_SQRT5)) <= 1e-10
 
 
@@ -318,16 +319,13 @@ def test_solve_is_scale_invariant():
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_solve_huge_zero_diagonal_is_not_a_zero_row():
-    # At scale 1e300, b * b overflows in the root update. The update must still
-    # give about 1/b, not 0, which the next round would take for a vanishing
-    # row (ZeroRowError). Newton does not converge at this scale yet, so a
-    # ConvergenceError carrying a positive iterate is accepted.
+    # At scale 1e300, b * b overflows in the root update of the iterations;
+    # that must not read as a vanishing row (ZeroRowError). Each row reads
+    # 2e300 * x^2 = 1 at the solution.
     m = Matrix(1e300 * np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]))
-    try:
-        res = solve(m)
-    except ConvergenceError as err:
-        res = err.result
-    assert (res.x.values > 0).all() and np.isfinite(res.x.values).all()
+    res = solve(m)
+    check_converged_invariants(m, res)
+    assert np.max(np.abs(res.x.values / (1e-150 / np.sqrt(2.0)) - 1.0)) <= 1e-15
 
 
 def test_solve_newton_singular_jacobian_raises():
@@ -363,17 +361,79 @@ def test_classify_and_validate_once_per_solve(monkeypatch, triangular, zero_diag
 
     for name in calls:
         monkeypatch.setattr(solver_module, name, counting(name))
+    weak = Matrix([[1e-4, 1], [1, 1e-4]])
+    ones_off_diagonal = Matrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    # (method_used, whether auto's Newton pass fails, run): the failing pass
+    # sends auto to contraction, bracket -> Newton, fixed point and fixed
+    # point -> Newton.
     runs = [
-        ("contraction", lambda: solve(triangular)),
-        ("newton", lambda: solve(Matrix([[1e-4, 1], [1, 1e-4]]))),
-        ("fixed_point", lambda: solve(zero_diag)),
-        ("newton", lambda: solve(Matrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))),
-        ("newton", lambda: multistart_uniqueness(zero_diag, starts=20)[0]),
+        ("newton", False, lambda: solve(triangular)),
+        ("newton", False, lambda: solve(weak)),
+        ("newton", False, lambda: solve(zero_diag)),
+        ("newton", False, lambda: solve(ones_off_diagonal)),
+        ("newton", False, lambda: multistart_uniqueness(zero_diag, starts=20)[0]),
+        ("contraction", True, lambda: solve(triangular)),
+        ("newton", True, lambda: solve(weak)),
+        ("fixed_point", True, lambda: solve(zero_diag)),
+        ("newton", True, lambda: solve(ones_off_diagonal)),
     ]
-    for method, run in runs:
+    newton_calls = _first_newton_fails(monkeypatch, ConvergenceError)
+    for method, fails, run in runs:
         calls.update(classify=0, validate_solvable=0)
+        # Only the first solve_newton call after a reset fails.
+        newton_calls[:] = [] if fails else [None]
         assert run().method_used == method
         assert calls == {"classify": 1, "validate_solvable": 1}, method
+
+
+def _first_newton_fails(monkeypatch, error):
+    """Make auto's first solve_newton call raise error; later calls (the
+    hand-offs of the fallback paths) run Newton. Returns the max_iter of each
+    call."""
+    import inversepoint.solver as solver_module
+
+    original = solver_module.solve_newton
+    budgets = []
+
+    def first_fails(M, x0, config, **kwargs):
+        budgets.append(config.max_iter)
+        if len(budgets) == 1:
+            raise error("newton: failed on purpose")
+        return original(M, x0, config, **kwargs)
+
+    monkeypatch.setattr(solver_module, "solve_newton", first_fails)
+    return budgets
+
+
+FALLBACK_CASES = [
+    ("triangular", "contraction", "contraction"),
+    ("counterexample", "bracket", "bracket"),
+    ("zero_diag", "fixed_point", "fixed_point"),
+    # The bracket stalls and hands off to Newton.
+    ("weak_diagonal", "bracket", "newton"),
+]
+
+
+@pytest.fixture
+def weak_diagonal():
+    return Matrix([[1e-4, 1.0], [1.0, 1e-4]])
+
+
+@pytest.mark.parametrize("error", [ConvergenceError, SingularJacobianError])
+@pytest.mark.parametrize("case, method, method_used", FALLBACK_CASES)
+def test_auto_fallback_returns_the_iteration_result(request, monkeypatch, error, case, method, method_used):
+    from inversepoint.solver import AUTO_NEWTON_MAX_STEPS
+
+    m = request.getfixturevalue(case)
+    expected = solve(m, SolverConfig(method=method))
+    budgets = _first_newton_fails(monkeypatch, error)
+    res = solve(m)
+    assert budgets[0] == AUTO_NEWTON_MAX_STEPS
+    assert (res.method_used, res.iterations) == (expected.method_used, expected.iterations)
+    assert res.method_used == method_used
+    assert res.x.values.tobytes() == expected.x.values.tobytes()
+    assert res.residual == expected.residual
+    check_converged_invariants(m, res)
 
 
 def _one_zero_diagonal(rng, n):
@@ -394,33 +454,43 @@ def _weak_diagonal(rng, n):
     return Matrix(a)
 
 
-# Each auto path on seeded inputs, n = rng.integers(2, 9): (recipe, seed,
-# method_used, iterations). Iterations are pinned only where no Newton step
-# runs; the zero and weak diagonals reach Newton through the fixed-point and
-# the bracket hand-offs.
+# Auto on seeded inputs of each kind, n = rng.integers(2, 9): (recipe, seed,
+# fallback method_used, fallback iterations, Newton steps). Auto's first pass,
+# log-space Newton, solves each input in the given number of steps. With that
+# pass failing, the classification dispatch runs; its iterations are pinned
+# only where no Newton step runs (the zero and weak diagonals reach Newton
+# through the fixed-point and the bracket hand-offs).
 PINNED_PATHS = [
-    (random_contraction, 1, "contraction", 57),
-    (random_contraction, 2, "contraction", 77),
-    (random_contraction, 3, "contraction", 72),
-    (random_positive_diagonal, 1, "bracket", 52),
-    (random_positive_diagonal, 2, "bracket", 80),
-    (random_positive_diagonal, 3, "bracket", 94),
-    (_one_zero_diagonal, 1, "fixed_point", 81),
-    (_one_zero_diagonal, 2, "fixed_point", 104),
-    (_one_zero_diagonal, 3, "fixed_point", 135),
-    (_zero_diagonal, 1, "newton", None),
-    (_zero_diagonal, 2, "newton", None),
-    (_zero_diagonal, 3, "newton", None),
-    (_weak_diagonal, 1, "newton", None),
-    (_weak_diagonal, 2, "newton", None),
-    (_weak_diagonal, 3, "newton", None),
+    (random_contraction, 1, "contraction", 57, 3),
+    (random_contraction, 2, "contraction", 77, 3),
+    (random_contraction, 3, "contraction", 72, 3),
+    (random_positive_diagonal, 1, "bracket", 52, 3),
+    (random_positive_diagonal, 2, "bracket", 80, 3),
+    (random_positive_diagonal, 3, "bracket", 94, 3),
+    (_one_zero_diagonal, 1, "fixed_point", 81, 3),
+    (_one_zero_diagonal, 2, "fixed_point", 104, 3),
+    (_one_zero_diagonal, 3, "fixed_point", 135, 4),
+    (_zero_diagonal, 1, "newton", None, 4),
+    (_zero_diagonal, 2, "newton", None, 3),
+    (_zero_diagonal, 3, "newton", None, 4),
+    (_weak_diagonal, 1, "newton", None, 4),
+    (_weak_diagonal, 2, "newton", None, 3),
+    (_weak_diagonal, 3, "newton", None, 4),
 ]
 
 
-@pytest.mark.parametrize("recipe, seed, method, iterations", PINNED_PATHS)
-def test_auto_paths_are_pinned(recipe, seed, method, iterations):
+@pytest.mark.parametrize(
+    "recipe, seed, method, iterations, steps",
+    PINNED_PATHS,
+    ids=[f"{r.__name__}-{s}-{m}-{i}" for r, s, m, i, _ in PINNED_PATHS],
+)
+def test_auto_paths_are_pinned(monkeypatch, recipe, seed, method, iterations, steps):
     rng = np.random.default_rng(seed)
     m = recipe(rng, int(rng.integers(2, 9)))
+    res = solve(m)
+    check_converged_invariants(m, res)
+    assert (res.method_used, res.iterations) == ("newton", steps)
+    _first_newton_fails(monkeypatch, ConvergenceError)
     res = solve(m)
     check_converged_invariants(m, res)
     assert res.method_used == method

@@ -1,5 +1,5 @@
-"""Hypothesis checks on the input matrix and the certificate that drives
-solver-strategy selection."""
+"""Hypothesis checks on the input matrix: the positive diagonal that lets auto
+fall back to the bracket, and the certificate the contraction solver needs."""
 
 from __future__ import annotations
 
@@ -90,7 +90,8 @@ def contraction_condition(M) -> tuple[bool, float | None]:
     diag = np.diagonal(mtx.entries)
     if (diag <= 0).any():
         return False, None
-    c = float(np.max(mtx.entries / (2.0 * diag[:, None])))
+    # Halving the quotient is exact and, unlike 2*m_ii, cannot overflow.
+    c = 0.5 * float(np.max(mtx.entries / diag[:, None]))
     if c < 1.0:
         return True, c
     return False, None
@@ -126,7 +127,7 @@ def perron_vector(M, tol: float = 1e-12, max_iter: int = 100000) -> tuple[Positi
 
 
 def classify(M) -> Classification:
-    """Populate the full certificate for strategy selection and reporting."""
+    """Populate the full certificate, reported with every solve."""
     mtx = as_matrix(M)
     a = mtx.entries
     nonnegative = bool((a >= 0).all())

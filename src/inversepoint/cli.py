@@ -26,7 +26,7 @@ from .errors import (
 )
 from .fixedpoint import RowContext, f_value
 from .io import emit_classification, emit_result, parse_matrix
-from .solver import SolverConfig, solve
+from .solver import METHODS, SolverConfig, solve
 
 _INPUT_ERRORS = (
     ParseError,
@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--max-iter", type=int, default=10000)
     p_solve.add_argument(
         "--method",
-        choices=["auto", "bracket", "contraction", "newton", "fixed-point"],
+        choices=[m.replace("_", "-") for m in METHODS],
         default="auto",
     )
     p_solve.add_argument("--output", choices=["json", "tsv"], default="json")
@@ -154,7 +154,7 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except InversePointError as err:  # SingularJacobianError, ConvergenceError without a result
+    except InversePointError as err:  # any other package error is numerical
         print(f"error: {err}", file=sys.stderr)
         return 2
 

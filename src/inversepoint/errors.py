@@ -63,11 +63,6 @@ class ContractionPreconditionError(InversePointError):
     """2*m_ii > m_ij fails for some pair, so the contraction iteration is unsound."""
 
 
-class SingularJacobianError(InversePointError):
-    """The Newton step cannot be solved: LAPACK found an exactly zero pivot
-    in the Jacobian, or the step it returned is not finite."""
-
-
 class ConvergenceError(InversePointError):
     """Iteration budget exhausted (or progress stopped) before reaching tol.
 
@@ -78,6 +73,12 @@ class ConvergenceError(InversePointError):
     def __init__(self, message: str, result=None):
         super().__init__(message)
         self.result = result
+
+
+class SingularJacobianError(ConvergenceError):
+    """The Newton step cannot be solved: LAPACK found an exactly zero pivot
+    in the Jacobian, or the step it returned is not finite. ``result`` carries
+    the Newton iterate where that happened."""
 
 
 class OracleDivergenceError(InversePointError):

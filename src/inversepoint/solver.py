@@ -1,19 +1,21 @@
 """Solvers for x_i * (Mx)_i = 1: log-space Newton, nested-box bracketing,
 contraction iteration, plain fixed-point iteration, and an auto mode.
 
-Auto runs Newton first, from 1/sqrt(rowsum(M)); only if Newton fails does it
-fall back to the paper's iterations, picked by classification. solve_newton is
-the one Newton of the package: damped Newton in y = log x on M normalised by a
-power of four, so that x(4^j M) = x(M) / 2^j holds bitwise.
+Auto runs Newton first, from 1/sqrt(rowsum(M)). If Newton fails and the
+diagonal is positive, the paper's nested boxes take over (the bracket, whose
+convergence the paper proves); otherwise Newton's own error is raised.
+solve_newton is the one Newton of the package: damped Newton in y = log x on M
+normalised by a power of four, so that x(4^j M) = x(M) / 2^j holds bitwise.
 
 Every public solver returns a SolveResult whose converged flag means
-residual <= config.tol at the returned point; running out of budget raises
-ConvergenceError carrying the best iterate as a non-converged result.
+residual <= config.tol at the returned point; a failure raises
+ConvergenceError (SingularJacobianError is one) carrying the best iterate as a
+non-converged result.
 
 The contraction, bracket and fixed-point solvers all iterate the update map
-F through one loop, _iterate; the bracket and the fixed-point path hand a
-stalled iteration to Newton through _finish_with_newton. Each solve validates
-and classifies the matrix once and passes the Classification down.
+F through one loop, _iterate; the bracket hands a stalled box to Newton. Each
+solve validates and classifies the matrix once and passes the Classification
+down.
 """
 
 from __future__ import annotations
@@ -40,9 +42,9 @@ METHODS = ("auto", "bracket", "contraction", "newton", "fixed_point")
 STALL_RATIO = 0.999
 STALL_ROUNDS = 10
 
-# Fixed-point iterates beyond this magnitude count as divergence (solutions
-# of sane systems are orders of magnitude smaller; letting the iteration run
-# into overflow would make the failure mode backend-dependent).
+# Fixed-point iterates beyond this magnitude count as divergence: solutions
+# of sane systems are orders of magnitude smaller, and an iteration left to run
+# into overflow would end on inf or NaN instead of its best iterate.
 DIVERGENCE_LIMIT = 1e100
 
 # Newton halves a step at most this many times looking for a smaller log
@@ -103,17 +105,19 @@ def _result(mtx, x, iterations, method, trace, converged, classification=None):
     )
 
 
-def _budget_error(mtx, x, iterations, method, trace, classification=None):
+def _convergence_error(
+    mtx, x, iterations, method, trace, classification=None, why="budget exhausted"
+):
     best = _result(mtx, x, iterations, method, trace, False, classification)
     return ConvergenceError(
-        f"{method}: residual {best.residual:.3e} after {iterations} iterations "
-        f"(budget exhausted)",
+        f"{method}: residual {best.residual:.3e} after {iterations} iterations ({why})",
         result=best,
     )
 
 
 def solve(M, config: SolverConfig | None = None) -> SolveResult:
-    """Dispatch on config.method. Newton starts from the all-ones vector."""
+    """Dispatch on config.method. Newton starts from 1/sqrt(rowsum(M)), the
+    start auto uses."""
     mtx = as_matrix(M)
     config = config or SolverConfig()
     if config.method == "auto":
@@ -124,16 +128,16 @@ def solve(M, config: SolverConfig | None = None) -> SolveResult:
         return solve_contraction(mtx, config)
     validate_solvable(mtx)
     if config.method == "newton":
-        return solve_newton(mtx, np.ones(mtx.n), config)
-    return _fixed_point(mtx, classify(mtx), config, newton_fallback=False)
+        return solve_newton(mtx, _newton_start(mtx.entries), config)
+    return _fixed_point(mtx, classify(mtx), config)
 
 
 def solve_auto(M, config: SolverConfig | None = None) -> SolveResult:
     """Log-space Newton from 1/sqrt(rowsum(M)), at most AUTO_NEWTON_MAX_STEPS
-    steps. If it fails, the paper's iterations take over unchanged:
-    contraction iteration when 2*m_ii > m_ij everywhere, else bracketing when
-    the diagonal is positive, else plain fixed-point iteration from all-ones
-    with a Newton fallback. A fallback result counts only its own iterations."""
+    steps. If it fails and the diagonal is positive, the bracket's nested
+    boxes take over, where the paper proves convergence; the result does not
+    count the failed Newton steps. Otherwise Newton's error is raised, carrying
+    its last iterate."""
     mtx = as_matrix(M)
     config = config or SolverConfig()
     validate_solvable(mtx)
@@ -141,13 +145,10 @@ def solve_auto(M, config: SolverConfig | None = None) -> SolveResult:
     first = replace(config, max_iter=min(config.max_iter, AUTO_NEWTON_MAX_STEPS))
     try:
         return solve_newton(mtx, _newton_start(mtx.entries), first, _cls=cls)
-    except (ConvergenceError, SingularJacobianError):
-        pass
-    if cls.contraction_condition:
-        return _contraction(mtx, cls, config)
-    if cls.positive_diagonal:
-        return _bracket(mtx, cls, config)
-    return _fixed_point(mtx, cls, config, newton_fallback=True)
+    except ConvergenceError:
+        if not cls.positive_diagonal:
+            raise
+    return _bracket(mtx, cls, config)
 
 
 def solve_contraction(M, config: SolverConfig | None = None) -> SolveResult:
@@ -166,7 +167,12 @@ def solve_contraction(M, config: SolverConfig | None = None) -> SolveResult:
         raise ContractionPreconditionError(
             "2*m_ii > m_ij fails for some pair; the iteration has no contraction certificate"
         )
-    return _contraction(mtx, cls, config)
+    x = np.empty(mtx.n)
+    _kernels.f_apply(mtx.entries, np.zeros(mtx.n), x)  # cannot fail: diagonal is positive
+    x, iterations, trace, reason, _ = _iterate(mtx, config, x)
+    if reason != "converged":
+        raise _convergence_error(mtx, x, iterations, "contraction", trace, cls)
+    return _result(mtx, x, iterations, "contraction", trace, True, cls)
 
 
 def solve_bracket(M, config: SolverConfig | None = None, *, bracket_log=None) -> SolveResult:
@@ -194,15 +200,6 @@ def solve_bracket(M, config: SolverConfig | None = None, *, bracket_log=None) ->
     return _bracket(mtx, classify(mtx), config, bracket_log)
 
 
-def _contraction(mtx, cls, config) -> SolveResult:
-    x = np.empty(mtx.n)
-    _kernels.f_apply(mtx.entries, np.zeros(mtx.n), x)  # cannot fail: diagonal is positive
-    x, iterations, trace, reason, _ = _iterate(mtx, config, x)
-    if reason != "converged":
-        raise _budget_error(mtx, x, iterations, "contraction", trace, cls)
-    return _result(mtx, x, iterations, "contraction", trace, True, cls)
-
-
 def _bracket(mtx, cls, config, bracket_log=None) -> SolveResult:
     lower = np.zeros(mtx.n)
     upper = np.empty(mtx.n)
@@ -210,35 +207,34 @@ def _bracket(mtx, cls, config, bracket_log=None) -> SolveResult:
     mid, iterations, trace, reason, gap = _iterate(
         mtx, config, upper, lower=lower, watch=True, bracket_log=bracket_log
     )
-    if reason == "stalled":
-        # A 2-cycle, a contraction rate near 1, or a box tighter than the
-        # residual scale allows: Newton finishes from the midpoint with the
-        # remaining budget.
-        return _finish_with_newton(
-            mtx, cls, config, mid, iterations, trace, "bracket",
-            budget=max(1, config.max_iter - iterations),
-            why=f"bracket stalled at gap {gap:.3e}",
-        )
+    if reason == "converged":
+        return _result(mtx, mid, iterations, "bracket", trace, True, cls)
     if reason == "budget":
-        raise _budget_error(mtx, mid, iterations, "bracket", trace, cls)
-    return _result(mtx, mid, iterations, "bracket", trace, True, cls)
+        raise _convergence_error(mtx, mid, iterations, "bracket", trace, cls)
+    # Stalled: a 2-cycle, a contraction rate near 1, or a box tighter than the
+    # residual scale allows. Newton finishes from the midpoint with the
+    # remaining budget; the result counts the iterations of both phases.
+    rest = replace(config, max_iter=max(1, config.max_iter - iterations))
+    try:
+        fin = solve_newton(mtx, mid, rest, _cls=cls)
+    except ConvergenceError as err:
+        best = _result(mtx, mid, iterations, "bracket", trace, False, cls)
+        raise ConvergenceError(
+            f"bracket stalled at gap {gap:.3e} and the Newton fallback failed: {err}", result=best
+        ) from err
+    return replace(fin, iterations=iterations + fin.iterations, trace=np.concatenate([trace, fin.trace]))
 
 
-def _fixed_point(mtx, cls, config, *, newton_fallback: bool) -> SolveResult:
+def _fixed_point(mtx, cls, config) -> SolveResult:
     """Plain iteration x <- F(x) from all-ones. Covers matrices with zero
     diagonal entries, where neither bracketing nor the contraction certificate
-    applies; convergence is not guaranteed, so stalls, divergence and an
-    exhausted budget either escalate to Newton (auto mode) or raise."""
+    applies; convergence is not guaranteed, so a stall, divergence or an
+    exhausted budget raises, naming which one."""
     best, iterations, trace, reason, _ = _iterate(mtx, config, np.ones(mtx.n), watch=True)
-    if reason == "converged":
-        return _result(mtx, best, iterations, "fixed_point", trace, True, cls)
-    if newton_fallback:
-        return _finish_with_newton(
-            mtx, cls, config, best, iterations, trace, "fixed_point",
-            budget=config.max_iter,
-            why="fixed-point iteration made no progress",
-        )
-    raise _budget_error(mtx, best, iterations, "fixed_point", trace, cls)
+    if reason != "converged":
+        why = "budget exhausted" if reason == "budget" else reason
+        raise _convergence_error(mtx, best, iterations, "fixed_point", trace, cls, why)
+    return _result(mtx, best, iterations, "fixed_point", trace, True, cls)
 
 
 def _iterate(mtx, config, x, *, lower=None, watch=False, bracket_log=None):
@@ -310,18 +306,6 @@ def _iterate(mtx, config, x, *, lower=None, watch=False, bracket_log=None):
     return point, iterations, trace, "converged", gap
 
 
-def _finish_with_newton(mtx, cls, config, x, iterations, trace, method, *, budget, why):
-    """Hand the point where an iteration gave up to Newton with the given
-    budget. The result counts the iterations of both phases and joins their
-    traces; if Newton fails too, the ConvergenceError carries that point."""
-    try:
-        fin = solve_newton(mtx, x, replace(config, max_iter=budget), _cls=cls)
-    except (ConvergenceError, SingularJacobianError) as err:
-        best = _result(mtx, x, iterations, method, trace, False, cls)
-        raise ConvergenceError(f"{why} and the Newton fallback failed: {err}", result=best) from err
-    return replace(fin, iterations=iterations + fin.iterations, trace=np.concatenate([trace, fin.trace]))
-
-
 def _normalise(m):
     """(A, k) with A = M / 4^k, k = frexp(max M)[1] // 2, so that max A lies
     in [0.5, 2); A is M itself when k = 0. Scaling by a power of two is exact
@@ -350,7 +334,7 @@ def solve_newton(M, x0, config: SolverConfig | None = None, *, _cls=None) -> Sol
     lam is halved until max|g| decreases. Stops once max|d| <= tol. A
     singular Jacobian (an exactly zero pivot, or a step that is not finite)
     raises SingularJacobianError; a residual on M above tol at the end raises
-    ConvergenceError.
+    ConvergenceError. Both carry the last iterate as a non-converged result.
     """
     mtx = as_matrix(M)
     config = config or SolverConfig()
@@ -376,14 +360,17 @@ def solve_newton(M, x0, config: SolverConfig | None = None, *, _cls=None) -> Sol
         )
     while dn > config.tol:
         if iterations >= config.max_iter:
-            raise _budget_error(mtx, np.ldexp(x, -k), iterations, "newton", trace, _cls)
+            raise _convergence_error(mtx, np.ldexp(x, -k), iterations, "newton", trace, _cls)
         _kernels.newton_system(a, x, jac, d)
         try:
             u = np.linalg.solve(jac, -(1.0 + d) * g)
         except np.linalg.LinAlgError:
             u = None
         if u is None or not np.isfinite(u).all():
-            raise SingularJacobianError(f"newton: the Jacobian is singular at iteration {iterations}")
+            best = _result(mtx, np.ldexp(x, -k), iterations, "newton", trace, False, _cls)
+            raise SingularJacobianError(
+                f"newton: the Jacobian is singular at iteration {iterations}", result=best
+            )
         s = u / x
         lam = 1.0
         for _ in range(NEWTON_MAX_HALVINGS + 1):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from conftest import TRIANGULAR_X, ZERO_DIAG_X
 import inversepoint
 from inversepoint import solve
 from inversepoint.cli import main
+from inversepoint.solver import METHODS
 
 TRIANGULAR_CSV = "1,0,0\n1,1,0\n1,1,1\n"
 ZERO_DIAG_CSV = "0,0,1\n1,0,0\n0,1,1\n"
@@ -77,23 +79,35 @@ def test_solve_non_convergence_exit_2_emits_best(tmp_path, capsys):
 
 
 def test_solve_singular_jacobian_exit_2_emits_best(tmp_path, capsys):
-    # The fixed-point iteration diverges and Newton meets a singular Jacobian.
+    # The zero diagonal leaves auto no fallback after Newton, which meets a
+    # singular Jacobian at its start 1/sqrt(rowsum) = (1/sqrt(2), 1).
     path = write(tmp_path, "singular.csv", "0,2\n1,0\n")
     code, out, err = run_cli(capsys, "solve", "--input", path)
     assert code == 2
     payload = json.loads(out)
     assert payload["converged"] is False
-    assert payload["x"] == [0.5, 1.0]
+    assert payload["x"] == [1.0 / math.sqrt(2.0), 1.0]
+    assert payload["method"] == "newton"
     assert "Jacobian" in err and "singular" in err
 
 
 def test_solve_newton_singular_jacobian_exit_2(tmp_path, capsys):
-    # At the all-ones start the Jacobian is [[2, 2], [1, 1]].
+    # At the start (1/sqrt(2), 1) the Jacobian is [[2, sqrt(2)], [1, 1/sqrt(2)]].
     path = write(tmp_path, "singular.csv", "0,2\n1,0\n")
     code, out, err = run_cli(capsys, "solve", "--input", path, "--method", "newton")
     assert code == 2
-    assert out == ""
+    payload = json.loads(out)
+    assert payload["converged"] is False
+    assert payload["x"] == [1.0 / math.sqrt(2.0), 1.0]
     assert "Jacobian is singular" in err
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_every_solver_method_is_a_cli_choice(tmp_path, capsys, method):
+    path = write(tmp_path, "tri.csv", TRIANGULAR_CSV)
+    code, out, err = run_cli(capsys, "solve", "--input", path, "--method", method.replace("_", "-"))
+    assert code == 0
+    assert json.loads(out)["method"] == ("newton" if method == "auto" else method)
 
 
 def test_solve_malformed_input_exit_1(tmp_path, capsys):

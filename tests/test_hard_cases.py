@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import random_contraction, random_positive_diagonal
-from inversepoint import ConvergenceError, Matrix, SolverConfig, solve
+from inversepoint import ConvergenceError, Matrix, SolverConfig, solve, solve_newton
 from test_solver import check_converged_invariants
 
 
@@ -47,8 +47,6 @@ def test_weak_diagonal_at_large_scale():
     assert np.max(np.abs(res.x.values / 1e-4 - 1.0)) <= 1e-15
 
 
-# classify forms 2*m_ii, which overflows here and warns.
-@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
 @pytest.mark.parametrize("n", [2, 3, 50])
 def test_entries_near_the_overflow_threshold(n):
     # rowsum(M) overflows, so auto takes its start 1/sqrt(rowsum) on the
@@ -56,27 +54,34 @@ def test_entries_near_the_overflow_threshold(n):
     c = 1.7e308
     res = solve(np.full((n, n), c))
     assert res.converged and res.residual <= 1e-12
+    assert res.classification.contraction_constant == 0.5
     assert np.max(np.abs(res.x.values * np.sqrt(n) * np.sqrt(c) - 1.0)) <= 1e-15
 
 
 def test_entry_lost_to_the_normalisation_falls_back():
     # Divided by about 1e300, the entry 1e-13 becomes subnormal and keeps only
     # a few bits: Newton meets tol on the normalised matrix but not on M, and
-    # says so; auto then falls back to the contraction iteration on M itself.
+    # says so; auto then falls back to the bracket on M itself, whose first
+    # box midpoint is the solution.
     m = np.diag([1e300, 1e-13])
     with pytest.raises(ConvergenceError, match="on the normalised matrix"):
         solve(m, SolverConfig(method="newton"))
     res = solve(m)
-    assert (res.method_used, res.iterations) == ("contraction", 0)
+    assert (res.method_used, res.iterations) == ("bracket", 1)
     assert np.max(np.abs(res.x.values * np.sqrt(np.diag(m)) - 1.0)) <= 1e-15
 
 
 def test_newton_from_all_ones_on_tiny_entries_fails_honestly():
     # From all-ones, x*(Mx) = 2e-300 rounds the quadratic defect to -1 and the
     # log defect to -inf: no step is defined, and the error says so.
+    m = np.full((2, 2), 1e-300)
     with pytest.raises(ConvergenceError, match="start point is too far off") as err:
-        solve(np.full((2, 2), 1e-300), SolverConfig(method="newton"))
+        solve_newton(m, np.ones(2))
     assert not err.value.result.converged
+    # solve starts Newton from 1/sqrt(rowsum), which is the solution here.
+    res = solve(m, SolverConfig(method="newton"))
+    assert (res.method_used, res.iterations) == ("newton", 0)
+    assert res.converged
 
 
 def _scale_law_inputs():

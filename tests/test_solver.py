@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -231,8 +233,22 @@ def test_solve_fixed_point_direct(zero_diag):
 
 
 def test_solve_fixed_point_budget_raises(zero_diag):
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match=r"after 3 iterations \(budget exhausted\)"):
         solve(zero_diag, SolverConfig(method="fixed_point", max_iter=3))
+
+
+@pytest.mark.parametrize(
+    "scale, iterations, reason", [(1.0, 11, "stalled"), (1e-300, 0, "diverged")]
+)
+def test_solve_fixed_point_error_names_its_reason(scale, iterations, reason):
+    # From all-ones the iterates of the zero-diagonal ones matrix swap between
+    # two points and the gap stops shrinking; at scale 1e-300 the first update
+    # is about 1e300, past DIVERGENCE_LIMIT, and is not accepted.
+    m = Matrix(scale * np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]))
+    message = rf"after {iterations} iterations \({reason}\)"
+    with pytest.raises(ConvergenceError, match=message) as err:
+        solve(m, SolverConfig(method="fixed_point"))
+    assert err.value.result.iterations == iterations and not err.value.result.converged
 
 
 def test_trace_is_monotone_enough_and_finite(triangular):
@@ -317,11 +333,9 @@ def test_solve_is_scale_invariant():
         assert np.max(np.abs(res.x.values - base / np.sqrt(s))) <= 1e-10 * np.max(base / np.sqrt(s))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_solve_huge_zero_diagonal_is_not_a_zero_row():
-    # At scale 1e300, b * b overflows in the root update of the iterations;
-    # that must not read as a vanishing row (ZeroRowError). Each row reads
-    # 2e300 * x^2 = 1 at the solution.
+    # At scale 1e300 the system must not read as having a vanishing row
+    # (ZeroRowError). Each row reads 2e300 * x^2 = 1 at the solution.
     m = Matrix(1e300 * np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]))
     res = solve(m)
     check_converged_invariants(m, res)
@@ -330,19 +344,23 @@ def test_solve_huge_zero_diagonal_is_not_a_zero_row():
 
 def test_solve_newton_singular_jacobian_raises():
     # The Jacobian rows are [x2, x1] twice: singular at every point.
-    with pytest.raises(SingularJacobianError):
+    with pytest.raises(SingularJacobianError) as err:
         solve_newton(Matrix([[0, 1], [1, 0]]), [1.0, 2.0])
+    assert isinstance(err.value, ConvergenceError)
+    best = err.value.result
+    assert (best.method_used, best.iterations, best.converged) == ("newton", 0, False)
+    assert np.array_equal(best.x.values, [1.0, 2.0])
 
 
 def test_fixed_point_fallback_on_singular_jacobian_carries_best():
-    # The iteration from all-ones diverges; its best iterate (0.5, 1) has the
-    # Jacobian [[2, 1], [1, 0.5]], so the Newton fallback fails at once.
-    with pytest.raises(ConvergenceError) as err:
+    # Auto has no fallback without a positive diagonal, so Newton's own error
+    # ends the solve. Its start 1/sqrt(rowsum) = (1/sqrt(2), 1) has the
+    # Jacobian [[2, sqrt(2)], [1, 1/sqrt(2)]], singular at once.
+    with pytest.raises(SingularJacobianError, match="Jacobian is singular") as err:
         solve(Matrix([[0, 2], [1, 0]]))
-    assert "Jacobian" in str(err.value) and "singular" in str(err.value)
     best = err.value.result
-    assert best.method_used == "fixed_point" and not best.converged
-    assert np.array_equal(best.x.values, [0.5, 1.0])
+    assert best.method_used == "newton" and not best.converged
+    assert np.array_equal(best.x.values, [1.0 / np.sqrt(2.0), 1.0])
 
 
 def test_classify_and_validate_once_per_solve(monkeypatch, triangular, zero_diag):
@@ -364,17 +382,17 @@ def test_classify_and_validate_once_per_solve(monkeypatch, triangular, zero_diag
     weak = Matrix([[1e-4, 1], [1, 1e-4]])
     ones_off_diagonal = Matrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
     # (method_used, whether auto's Newton pass fails, run): the failing pass
-    # sends auto to contraction, bracket -> Newton, fixed point and fixed
-    # point -> Newton.
+    # sends auto to the bracket, or to the bracket and its Newton hand-off;
+    # with a zero diagonal it re-raises Newton's error, whose result counts.
     runs = [
         ("newton", False, lambda: solve(triangular)),
         ("newton", False, lambda: solve(weak)),
         ("newton", False, lambda: solve(zero_diag)),
         ("newton", False, lambda: solve(ones_off_diagonal)),
         ("newton", False, lambda: multistart_uniqueness(zero_diag, starts=20)[0]),
-        ("contraction", True, lambda: solve(triangular)),
+        ("bracket", True, lambda: solve(triangular)),
         ("newton", True, lambda: solve(weak)),
-        ("fixed_point", True, lambda: solve(zero_diag)),
+        ("newton", True, lambda: solve(zero_diag)),
         ("newton", True, lambda: solve(ones_off_diagonal)),
     ]
     newton_calls = _first_newton_fails(monkeypatch, ConvergenceError)
@@ -382,14 +400,21 @@ def test_classify_and_validate_once_per_solve(monkeypatch, triangular, zero_diag
         calls.update(classify=0, validate_solvable=0)
         # Only the first solve_newton call after a reset fails.
         newton_calls[:] = [] if fails else [None]
-        assert run().method_used == method
+        assert _result_or_error_result(run).method_used == method
         assert calls == {"classify": 1, "validate_solvable": 1}, method
 
 
+def _result_or_error_result(run):
+    try:
+        return run()
+    except ConvergenceError as err:
+        return err.result
+
+
 def _first_newton_fails(monkeypatch, error):
-    """Make auto's first solve_newton call raise error; later calls (the
-    hand-offs of the fallback paths) run Newton. Returns the max_iter of each
-    call."""
+    """Make auto's first solve_newton call raise error, carrying that call's
+    result marked as not converged; later calls (the bracket's hand-off) run
+    Newton. Returns the max_iter of each call."""
     import inversepoint.solver as solver_module
 
     original = solver_module.solve_newton
@@ -397,18 +422,18 @@ def _first_newton_fails(monkeypatch, error):
 
     def first_fails(M, x0, config, **kwargs):
         budgets.append(config.max_iter)
+        res = original(M, x0, config, **kwargs)
         if len(budgets) == 1:
-            raise error("newton: failed on purpose")
-        return original(M, x0, config, **kwargs)
+            raise error("newton: failed on purpose", result=replace(res, converged=False))
+        return res
 
     monkeypatch.setattr(solver_module, "solve_newton", first_fails)
     return budgets
 
 
 FALLBACK_CASES = [
-    ("triangular", "contraction", "contraction"),
+    ("triangular", "bracket", "bracket"),
     ("counterexample", "bracket", "bracket"),
-    ("zero_diag", "fixed_point", "fixed_point"),
     # The bracket stalls and hands off to Newton.
     ("weak_diagonal", "bracket", "newton"),
 ]
@@ -436,6 +461,15 @@ def test_auto_fallback_returns_the_iteration_result(request, monkeypatch, error,
     check_converged_invariants(m, res)
 
 
+@pytest.mark.parametrize("error", [ConvergenceError, SingularJacobianError])
+def test_auto_without_positive_diagonal_raises_newtons_error(monkeypatch, zero_diag, error):
+    budgets = _first_newton_fails(monkeypatch, error)
+    with pytest.raises(error, match="failed on purpose") as err:
+        solve(zero_diag)
+    assert len(budgets) == 1
+    assert err.value.result.method_used == "newton" and not err.value.result.converged
+
+
 def _one_zero_diagonal(rng, n):
     a = random_positive_diagonal(rng, n).entries.copy()
     a[0, 0] = 0.0
@@ -457,19 +491,20 @@ def _weak_diagonal(rng, n):
 # Auto on seeded inputs of each kind, n = rng.integers(2, 9): (recipe, seed,
 # fallback method_used, fallback iterations, Newton steps). Auto's first pass,
 # log-space Newton, solves each input in the given number of steps. With that
-# pass failing, the classification dispatch runs; its iterations are pinned
-# only where no Newton step runs (the zero and weak diagonals reach Newton
-# through the fixed-point and the bracket hand-offs).
+# pass failing, a positive diagonal sends auto to the bracket, whose
+# iterations are pinned only where no Newton step runs (the weak diagonals
+# reach Newton through the bracket's hand-off); a zero diagonal entry makes
+# auto re-raise Newton's error, whose result is Newton's.
 PINNED_PATHS = [
-    (random_contraction, 1, "contraction", 57, 3),
-    (random_contraction, 2, "contraction", 77, 3),
-    (random_contraction, 3, "contraction", 72, 3),
+    (random_contraction, 1, "bracket", 54, 3),
+    (random_contraction, 2, "bracket", 73, 3),
+    (random_contraction, 3, "bracket", 69, 3),
     (random_positive_diagonal, 1, "bracket", 52, 3),
     (random_positive_diagonal, 2, "bracket", 80, 3),
     (random_positive_diagonal, 3, "bracket", 94, 3),
-    (_one_zero_diagonal, 1, "fixed_point", 81, 3),
-    (_one_zero_diagonal, 2, "fixed_point", 104, 3),
-    (_one_zero_diagonal, 3, "fixed_point", 135, 4),
+    (_one_zero_diagonal, 1, "newton", None, 3),
+    (_one_zero_diagonal, 2, "newton", None, 3),
+    (_one_zero_diagonal, 3, "newton", None, 4),
     (_zero_diagonal, 1, "newton", None, 4),
     (_zero_diagonal, 2, "newton", None, 3),
     (_zero_diagonal, 3, "newton", None, 4),
@@ -491,9 +526,14 @@ def test_auto_paths_are_pinned(monkeypatch, recipe, seed, method, iterations, st
     check_converged_invariants(m, res)
     assert (res.method_used, res.iterations) == ("newton", steps)
     _first_newton_fails(monkeypatch, ConvergenceError)
-    res = solve(m)
-    check_converged_invariants(m, res)
+    if (np.diagonal(m.entries) > 0).all():
+        res = solve(m)
+        check_converged_invariants(m, res)
+    else:
+        with pytest.raises(ConvergenceError, match="failed on purpose") as err:
+            solve(m)
+        res = err.value.result
+        assert (res.iterations, res.converged) == (steps, False)
     assert res.method_used == method
     if iterations is not None:
         assert res.iterations == iterations
-

@@ -17,15 +17,13 @@ BACKEND = "numpy"
 def positive_root(mii: float, b: float) -> float:
     """Unique positive root of m*t**2 + b*t - 1 = 0; NaN when m = 0 and b <= 0.
 
-    Uses 2/(b + sqrt(b^2 + 4m)) instead of the textbook (-b + sqrt(...))/(2m),
-    which cancels catastrophically for large b. The two are algebraically equal
-    and the stable form also reduces to 1/b as m -> 0.
+    Uses 2/(b + hypot(b, 2 sqrt(m))) instead of the textbook
+    (-b + sqrt(b^2 + 4m))/(2m), which cancels catastrophically for large b.
+    hypot forms no b^2 to overflow or underflow, and m = 0 gives 1/b exactly.
     """
-    if mii == 0.0:
-        if b <= 0.0:
-            return np.nan
-        return 1.0 / b
-    return 2.0 / (b + np.sqrt(b * b + 4.0 * mii))
+    if mii == 0.0 and b <= 0.0:
+        return np.nan
+    return 2.0 / (b + np.hypot(b, 2.0 * np.sqrt(mii)))
 
 
 def f_apply(m, x, out) -> int:
@@ -34,20 +32,10 @@ def f_apply(m, x, out) -> int:
     (zero diagonal and zero off-diagonal contribution)."""
     d = np.diagonal(m)
     b = m @ x - d * x
-    zero = d == 0.0
-    bad = zero & (b <= 0.0)
+    bad = (d == 0.0) & (b <= 0.0)
     if bad.any():
         return int(np.nonzero(bad)[0][0])
-    out[:] = 2.0 / (b + np.sqrt(b * b + 4.0 * d))
-    # A zero-diagonal row's root is 1/b. The expression above gives 2/(b + |b|),
-    # which is 1/b bitwise unless b * b underflows (b below about 1.5e-154),
-    # where it gives 2/b.
-    np.divide(1.0, b, out=out, where=zero)
-    if np.count_nonzero(out) < out.size:
-        # b * b overflowed (b above about 1.3e154): factor b out of the root.
-        big = out == 0.0
-        bb, db = b[big], d[big]
-        out[big] = 2.0 / (bb * (1.0 + np.sqrt(1.0 + 4.0 * (db / bb) / bb)))
+    out[:] = 2.0 / (b + np.hypot(b, 2.0 * np.sqrt(d)))  # as in positive_root
     return -1
 
 
@@ -69,3 +57,44 @@ def newton_system(m, x, jac, g) -> None:
     jac[:] = x[:, None] * m
     idx = np.arange(m.shape[0])
     jac[idx, idx] += mx
+
+
+def krylov_step(a, x, g, eta, maxit):
+    """GMRES for the log-space Newton step s of (I + diag(1/Ax) A diag(x)) s = -g.
+
+    Matrix-free, one product v -> v + (A(x*v))/(Ax) per iteration; classical
+    Gram-Schmidt runs twice and Givens rotations track the residual norm.
+    Returns s once that is at most eta * ||g||_2; None when maxit iterations
+    do not get there or the Arnoldi process breaks down.
+    """
+    ax = a @ x
+    beta = float(np.sqrt(g @ g))
+    v = np.empty((maxit + 1, x.size))
+    v[0] = -g / beta
+    r = np.zeros((maxit, maxit))
+    rot = np.empty((maxit, 2))
+    e = np.zeros(maxit + 1)
+    e[0] = beta
+    for j in range(maxit):
+        w = v[j] + (a @ (x * v[j])) / ax
+        basis = v[: j + 1]
+        h = basis @ w
+        w -= h @ basis
+        h2 = basis @ w
+        w -= h2 @ basis
+        h += h2
+        hn = float(np.sqrt(w @ w))
+        for i in range(j):
+            c, sn = rot[i]
+            h[i], h[i + 1] = c * h[i] + sn * h[i + 1], c * h[i + 1] - sn * h[i]
+        rho = float(np.hypot(h[j], hn))
+        if not rho > 0.0:
+            return None
+        c, sn = rot[j] = h[j] / rho, hn / rho
+        r[:j, j], r[j, j] = h[:j], rho
+        e[j], e[j + 1] = c * e[j], -sn * e[j]
+        if abs(e[j + 1]) <= eta * beta:
+            s = np.linalg.solve(r[: j + 1, : j + 1], e[: j + 1]) @ basis
+            return s if np.isfinite(s).all() else None
+        v[j + 1] = w / hn
+    return None

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Matrix, PositiveVector, as_matrix
+from .core import PositiveVector, as_matrix
 from .errors import ConvergenceError, NonNegativityError, NotPrimitiveError, ValidationError
 
 
@@ -28,9 +28,11 @@ class Classification:
     has_zero_row: bool
 
 
-def _require_nonnegative(mtx: Matrix) -> None:
-    if (mtx.entries < 0).any():
+def _nonnegative_entries(M) -> np.ndarray:
+    a = as_matrix(M).entries
+    if (a < 0).any():
         raise NonNegativityError("operation requires a nonnegative matrix")
+    return a
 
 
 def _bfs_levels(adj: np.ndarray) -> np.ndarray:
@@ -63,9 +65,12 @@ def is_primitive(M) -> bool:
     with level the BFS distance from node 0; a positive diagonal entry is a
     cycle of length 1. For n = 1 this gives primitive iff m_11 > 0.
     """
-    mtx = as_matrix(M)
-    _require_nonnegative(mtx)
-    pattern = mtx.entries > 0
+    return _is_primitive(_nonnegative_entries(M))
+
+
+def _is_primitive(a) -> bool:
+    """is_primitive on a nonnegative ndarray, without the check."""
+    pattern = a > 0
     if pattern.all():
         return True
     level = _bfs_levels(pattern)
@@ -78,20 +83,22 @@ def is_primitive(M) -> bool:
 
 
 def has_positive_diagonal(M) -> bool:
-    mtx = as_matrix(M)
-    return bool((np.diagonal(mtx.entries) > 0).all())
+    return bool((np.diagonal(as_matrix(M).entries) > 0).all())
 
 
 def contraction_condition(M) -> tuple[bool, float | None]:
     """Check 2*m_ii > m_ij for every i, j; when it holds, return the constant
     C = max_{i,j} m_ij / (2*m_ii) < 1."""
-    mtx = as_matrix(M)
-    _require_nonnegative(mtx)
-    diag = np.diagonal(mtx.entries)
+    return _contraction_condition(_nonnegative_entries(M))
+
+
+def _contraction_condition(a) -> tuple[bool, float | None]:
+    """contraction_condition on a nonnegative ndarray, without the check."""
+    diag = np.diagonal(a)
     if (diag <= 0).any():
         return False, None
     # Halving the quotient is exact and, unlike 2*m_ii, cannot overflow.
-    c = 0.5 * float(np.max(mtx.entries / diag[:, None]))
+    c = 0.5 * float(np.max(a / diag[:, None]))
     if c < 1.0:
         return True, c
     return False, None
@@ -134,8 +141,8 @@ def classify(M) -> Classification:
     positive_diagonal = has_positive_diagonal(mtx)
     has_zero_row = bool((~(a != 0).any(axis=1)).any())
     if nonnegative:
-        primitive = is_primitive(mtx)
-        condition, constant = contraction_condition(mtx)
+        primitive = _is_primitive(a)
+        condition, constant = _contraction_condition(a)
     else:
         primitive = False
         condition, constant = False, None

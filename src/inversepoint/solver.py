@@ -56,6 +56,11 @@ NEWTON_MAX_HALVINGS = 40
 # it; on the benchmark inputs and the hard cases it needs at most seven.
 AUTO_NEWTON_MAX_STEPS = 100
 
+# From n = KRYLOV_MIN_N (the measured crossover) a Newton step is matrix-free GMRES,
+# O(n^2) per iteration, not an O(n^3) LU, which stays the fallback after KRYLOV_MAX_ITER.
+KRYLOV_MIN_N = 128
+KRYLOV_MAX_ITER = 40
+
 
 @dataclass
 class SolverConfig:
@@ -128,7 +133,7 @@ def solve(M, config: SolverConfig | None = None) -> SolveResult:
         return solve_contraction(mtx, config)
     validate_solvable(mtx)
     if config.method == "newton":
-        return solve_newton(mtx, _newton_start(mtx.entries), config)
+        return solve_newton(mtx, None, config)
     return _fixed_point(mtx, classify(mtx), config)
 
 
@@ -144,7 +149,7 @@ def solve_auto(M, config: SolverConfig | None = None) -> SolveResult:
     cls = classify(mtx)
     first = replace(config, max_iter=min(config.max_iter, AUTO_NEWTON_MAX_STEPS))
     try:
-        return solve_newton(mtx, _newton_start(mtx.entries), first, _cls=cls)
+        return solve_newton(mtx, None, first, _cls=cls)
     except ConvergenceError:
         if not cls.positive_diagonal:
             raise
@@ -315,38 +320,36 @@ def _normalise(m):
     return (np.ldexp(m, -2 * k) if k else m), k
 
 
-def _newton_start(m):
-    """1/sqrt(rowsum(M)), with the row sums taken on A = M / 4^k: those of M
-    can overflow near 1.8e308, those of A are at most 2n."""
-    a, k = _normalise(m)
-    return np.ldexp(1.0 / np.sqrt(a.sum(axis=1)), -k)
-
-
-def solve_newton(M, x0, config: SolverConfig | None = None, *, _cls=None) -> SolveResult:
+def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -> SolveResult:
     """Damped Newton in log space, y = log x, from a positive start.
 
     It solves G(y) = log(x_i*(Ax)_i) = 0 on the normalised A = M / 4^k of
-    _normalise, from x0 * 2^k, and returns x / 2^k. With the quadratic defect
-    d = x*(Ax) - 1, g = log1p(d) and the quadratic Jacobian
-    J_ij = x_i*a_ij + delta_ij*(Ax)_i, the log-space step s solves
-    (I + diag(1/Ax) A diag(x)) s = -g; it is u / x where J u = -(1+d)*g,
-    solved by LAPACK. The trial x*exp(lam*s) is positive by construction, and
-    lam is halved until max|g| decreases. Stops once max|d| <= tol. A
-    singular Jacobian (an exactly zero pivot, or a step that is not finite)
-    raises SingularJacobianError; a residual on M above tol at the end raises
-    ConvergenceError. Both carry the last iterate as a non-converged result.
+    _normalise, from x0 (default 1/sqrt(rowsum(M)), summed on A, where no
+    sum overflows), and returns x(M) = x(A) / 2^k. With g = log1p(x*(Ax) - 1)
+    the step s solves (I + diag(1/Ax) A diag(x)) s = -g: from n = KRYLOV_MIN_N
+    on by matrix-free GMRES to a relative residual of min(0.5, max|g|), or
+    looser where tol needs no more; below that, or when GMRES gives up, by
+    LAPACK on the quadratic Jacobian. The trial x*exp(lam*s) is positive by
+    construction; lam is halved until max|g| decreases. Stops once
+    max|x*(Ax) - 1| <= tol. A singular Jacobian (an exactly zero pivot, or a
+    step that is not finite) raises SingularJacobianError; a residual on M
+    above tol at the end raises ConvergenceError. Both carry the last
+    iterate as a non-converged result.
     """
     mtx = as_matrix(M)
     config = config or SolverConfig()
-    x = as_positive_vector(x0).values
+    a, k = _normalise(mtx.entries)
+    if x0 is None:
+        rows = a.sum(axis=1)
+        if not (rows > 0).all():
+            raise ValidationError("the default start 1/sqrt(rowsum(M)) needs positive row sums")
+        x0 = np.ldexp(1.0 / np.sqrt(rows), -k)
+    x = np.ldexp(as_positive_vector(x0).values, k)
     if x.shape[0] != mtx.n:
         raise ValidationError(f"start point has length {x.shape[0]}, expected {mtx.n}")
-    a, k = _normalise(mtx.entries)
-    x = np.ldexp(x, k)
     n = mtx.n
     d = np.empty(n)
     dt = np.empty(n)
-    jac = np.empty((n, n))
     g, gn = _log_defect(a, x, d)
     dn = float(np.max(np.abs(d)))
     trace = [dn]
@@ -361,17 +364,23 @@ def solve_newton(M, x0, config: SolverConfig | None = None, *, _cls=None) -> Sol
     while dn > config.tol:
         if iterations >= config.max_iter:
             raise _convergence_error(mtx, np.ldexp(x, -k), iterations, "newton", trace, _cls)
-        _kernels.newton_system(a, x, jac, d)
-        try:
-            u = np.linalg.solve(jac, -(1.0 + d) * g)
-        except np.linalg.LinAlgError:
-            u = None
-        if u is None or not np.isfinite(u).all():
+        s = None
+        if n >= KRYLOV_MIN_N:
+            # Relaxed where ||r||_2 <= tol/2 suffices; then max|g|^2 < tol/2.
+            eta = min(0.5, max(gn, 0.5 * config.tol / float(np.sqrt(g @ g))))
+            s = _kernels.krylov_step(a, x, g, eta, KRYLOV_MAX_ITER)
+        if s is None:
+            jac = np.empty((n, n))
+            _kernels.newton_system(a, x, jac, d)
+            try:
+                s = np.linalg.solve(jac, -(1.0 + d) * g) / x
+            except np.linalg.LinAlgError:
+                pass
+        if s is None or not np.isfinite(s).all():
             best = _result(mtx, np.ldexp(x, -k), iterations, "newton", trace, False, _cls)
             raise SingularJacobianError(
                 f"newton: the Jacobian is singular at iteration {iterations}", result=best
             )
-        s = u / x
         lam = 1.0
         for _ in range(NEWTON_MAX_HALVINGS + 1):
             with np.errstate(over="ignore"):
@@ -430,10 +439,5 @@ def multistart_uniqueness(M, config: SolverConfig | None = None, starts: int = 2
         if first is None:
             first = res
         solutions.append(res.x.values)
-    dmax = 0.0
-    for i in range(len(solutions)):
-        for j in range(i + 1, len(solutions)):
-            d = float(np.max(np.abs(solutions[i] - solutions[j])))
-            if d > dmax:
-                dmax = d
-    return first, dmax
+    sol = np.array(solutions)
+    return first, float(np.max(np.abs(sol[:, None] - sol[None, :])))

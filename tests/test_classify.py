@@ -31,6 +31,14 @@ def test_is_primitive_rejects_negative():
         is_primitive(Matrix([[1.0, -1.0], [1.0, 1.0]]))
 
 
+def test_contraction_condition_rejects_negative():
+    # classify checks nonnegativity once and calls the unchecked helpers; the
+    # public functions still check.
+    with pytest.raises(NonNegativityError):
+        contraction_condition(Matrix([[1.0, -1.0], [1.0, 1.0]]))
+    assert classify(Matrix([[1.0, -1.0], [1.0, 1.0]])).nonnegative is False
+
+
 def test_is_primitive_depends_only_on_zero_pattern():
     rng = np.random.default_rng(21)
     for _ in range(20):

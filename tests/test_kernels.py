@@ -57,7 +57,6 @@ def test_f_apply_returns_first_undefined_row():
     assert _kernels.f_apply(m, x, np.empty(3)) == 1
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_f_apply_survives_overflow_of_b_squared():
     # b = 1e200 on a zero diagonal: b * b overflows, the root is 1/b.
     m = np.array([[0.0, 1e200], [1e200, 0.0]])
@@ -110,3 +109,41 @@ def test_newton_system_is_defect_and_its_jacobian():
             _kernels.quad_defect(m, down, g_down)
             fd[:, j] = (g_up - g_down) / (2.0 * h)
         assert np.max(np.abs(jac - fd)) <= 1e-7 * np.max(np.abs(jac))
+
+
+def _log_jacobian(m, x):
+    """I + diag(1/Mx) M diag(x), written out."""
+    return np.eye(x.size) + m * x[None, :] / (m @ x)[:, None]
+
+
+@pytest.mark.parametrize("eta", [0.5, 1e-4, 1e-10])
+def test_krylov_step_reaches_its_relative_residual(eta):
+    rng = np.random.default_rng(4)
+    for n in (1, 5, 60):
+        m, x = _random_system(rng, n)
+        g = rng.uniform(-0.1, 0.1, n)
+        s = _kernels.krylov_step(m, x, g, eta, 40)
+        jac = _log_jacobian(m, x)
+        assert np.linalg.norm(jac @ s + g) <= eta * np.linalg.norm(g) * (1.0 + 1e-12)
+        if eta == 1e-10:
+            exact = np.linalg.solve(jac, -g)
+            assert np.max(np.abs(s - exact)) <= 1e-9 * np.max(np.abs(exact))
+
+
+def test_krylov_step_gives_up_after_maxit():
+    # One iteration cannot reach 1e-12 on a random 60 x 60 system.
+    rng = np.random.default_rng(5)
+    m, x = _random_system(rng, 60)
+    g = rng.uniform(-0.1, 0.1, 60)
+    assert _kernels.krylov_step(m, x, g, 1e-12, 1) is None
+    assert _kernels.krylov_step(m, x, g, 1e-12, 40) is not None
+
+
+def test_krylov_step_returns_none_on_breakdown():
+    # Here the operator is [[1, 1], [1, 1]], singular with range (1, 1). From
+    # g = (1, 0) the least-squares residual stays at 1/sqrt(2) > eta, and the
+    # second Arnoldi step leaves a singular Hessenberg matrix.
+    m = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert _kernels.krylov_step(m, np.ones(2), np.array([1.0, 0.0]), 0.5, 40) is None
+    # A product that is not finite breaks the process down the same way.
+    assert _kernels.krylov_step(m, np.ones(2), np.array([np.nan, 0.0]), 0.5, 40) is None

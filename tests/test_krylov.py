@@ -1,0 +1,107 @@
+"""Newton steps by matrix-free GMRES: from n = KRYLOV_MIN_N on, solve_newton
+takes its step from _kernels.krylov_step and uses LAPACK only when GMRES
+gives up. The two paths must agree on x up to the conditioning of the
+problem, and the LAPACK path must stay what it was."""
+
+import numpy as np
+import pytest
+
+import inversepoint.solver as solver_module
+from inversepoint import Matrix, SingularJacobianError, SolverConfig, solve, solve_newton
+from inversepoint import _kernels
+from test_solver import check_converged_invariants
+
+
+def _dense(n, seed):
+    # Off-diagonal U(0, 1), diagonal U(0.05, 0.3), as in the size grid.
+    rng = np.random.default_rng([n, seed])
+    a = rng.uniform(0.0, 1.0, (n, n))
+    np.fill_diagonal(a, rng.uniform(0.05, 0.3, n))
+    return a
+
+
+def _near_bipartite(n, eps):
+    # Two blocks of n/2 nodes joined by U(0.1, 1) edges, plus eps on the
+    # diagonal: as eps -> 0 the pattern becomes bipartite and I + S singular.
+    rng = np.random.default_rng([n, 7])
+    h = n // 2
+    a = np.zeros((n, n))
+    a[:h, h:] = rng.uniform(0.1, 1.0, (h, n - h))
+    a[h:, :h] = rng.uniform(0.1, 1.0, (n - h, h))
+    np.fill_diagonal(a, eps)
+    return a
+
+
+def _lu_only(monkeypatch):
+    monkeypatch.setattr(solver_module, "KRYLOV_MIN_N", np.iinfo(np.int64).max)
+
+
+@pytest.mark.parametrize("n, seed", [(200, 1), (200, 2), (400, 1)])
+def test_krylov_steps_agree_with_lapack_steps(monkeypatch, n, seed):
+    a = _dense(n, seed)
+    res = solve(a)
+    check_converged_invariants(Matrix(a), res)
+    _lu_only(monkeypatch)
+    lu = solve(a)
+    assert np.max(np.abs(res.x.values / lu.x.values - 1.0)) <= 1e-11
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
+def test_krylov_steps_on_a_near_bipartite_matrix(monkeypatch, eps):
+    # Two points whose log defects are at most r1 and r2 lie within
+    # kappa * (r1 + r2) of each other in log x, to first order, with
+    # kappa = ||(I + S)^-1||_inf at the solution (about 60 here): the
+    # residual pins x no closer than that.
+    a = _near_bipartite(200, eps)
+    res = solve(a)
+    check_converged_invariants(Matrix(a), res)
+    _lu_only(monkeypatch)
+    lu = solve(a)
+    x = lu.x.values
+    kappa = np.max(np.abs(np.linalg.inv(np.eye(200) + x[:, None] * a * x[None, :])).sum(axis=1))
+    gap = np.max(np.abs(np.log(res.x.values / x)))
+    assert gap <= kappa * (res.residual + lu.residual) and gap <= 1e-11
+
+
+def test_krylov_giving_up_is_bitwise_the_lapack_path(monkeypatch):
+    a = _dense(200, 3)
+    monkeypatch.setattr(_kernels, "krylov_step", lambda *args: None)
+    fallback = solve(a)
+    _lu_only(monkeypatch)
+    lu = solve(a)
+    assert np.array_equal(fallback.x.values, lu.x.values)
+    assert (fallback.iterations, fallback.residual) == (lu.iterations, lu.residual)
+
+
+def test_non_finite_krylov_step_raises_with_the_iterate(monkeypatch):
+    a = _dense(solver_module.KRYLOV_MIN_N, 1)
+    start = 1.0 / np.sqrt(a.sum(axis=1))
+    monkeypatch.setattr(_kernels, "krylov_step", lambda a, x, *rest: np.full(x.size, np.inf))
+    with pytest.raises(SingularJacobianError) as err:
+        solve_newton(a, start)
+    best = err.value.result
+    assert (best.method_used, best.iterations, best.converged) == ("newton", 0, False)
+    assert np.array_equal(best.x.values, start)
+
+
+def test_krylov_starts_at_its_threshold(monkeypatch):
+    calls = []
+    original = _kernels.krylov_step
+
+    def counted(*args):
+        calls.append(args[0].shape[0])
+        return original(*args)
+
+    monkeypatch.setattr(_kernels, "krylov_step", counted)
+    n = solver_module.KRYLOV_MIN_N
+    for size in (n - 1, n):
+        res = solve(_dense(size, 1), SolverConfig(method="newton"))
+        assert res.converged
+    assert calls and set(calls) == {n}
+
+
+@pytest.mark.parametrize("j", [-400, 5, 400])
+def test_power_of_four_scale_law_is_bitwise_at_n400(j):
+    a = _dense(400, 2)
+    x = solve(a).x.values
+    assert np.array_equal(solve(np.ldexp(a, 2 * j)).x.values, np.ldexp(x, -j))

@@ -217,6 +217,17 @@ def test_solve_newton_budget_error_carries_best(curves_2d):
     assert best.iterations == 1
 
 
+def test_solve_newton_default_start_is_autos_start(triangular):
+    # Without x0, solve_newton starts where auto does, from 1/sqrt(rowsum(M)).
+    res = solve_newton(triangular)
+    assert np.array_equal(res.x.values, solve(triangular).x.values)
+    start = 1.0 / np.sqrt(triangular.entries.sum(axis=1))
+    assert np.array_equal(res.x.values, solve_newton(triangular, start).x.values)
+    # That start needs positive row sums; solve_newton does not validate M.
+    with pytest.raises(ValidationError, match="positive row sums"):
+        solve_newton(Matrix([[1.0, 2.0], [0.0, 0.0]]))
+
+
 def test_solve_auto_method_selection(triangular, zero_diag, counterexample):
     # Newton runs first; the counterexample has constant row sums, so the
     # start 1/sqrt(rowsum) is already the solution.

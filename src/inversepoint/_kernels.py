@@ -41,7 +41,7 @@ def f_apply(m, x, out) -> int:
 
 def residual_inf(m, x) -> float:
     """max_i |x_i * (Mx)_i - 1|."""
-    return float(np.max(np.abs(x * (m @ x) - 1.0)))
+    return float(np.abs(x * (m @ x) - 1.0).max())
 
 
 def quad_defect(m, x, out) -> None:
@@ -54,9 +54,8 @@ def newton_system(m, x, jac, g) -> None:
     J_ij = x_i*m_ij + delta_ij*(Mx)_i."""
     mx = m @ x
     g[:] = x * mx - 1.0
-    jac[:] = x[:, None] * m
-    idx = np.arange(m.shape[0])
-    jac[idx, idx] += mx
+    np.multiply(x[:, None], m, out=jac)
+    jac.flat[:: m.shape[0] + 1] += mx
 
 
 def krylov_step(a, x, g, eta, maxit):

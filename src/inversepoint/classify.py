@@ -70,16 +70,17 @@ def is_primitive(M) -> bool:
 
 def _is_primitive(a) -> bool:
     """is_primitive on a nonnegative ndarray, without the check."""
-    pattern = a > 0
-    if pattern.all():
+    if a.min() > 0:
         return True
+    pattern = a > 0
     level = _bfs_levels(pattern)
     if (level < 0).any() or (_bfs_levels(pattern.T) < 0).any():
         return False
     if np.diagonal(pattern).any():
         return True
     lengths = (level[:, None] + 1 - level[None, :])[pattern]
-    return bool(np.gcd.reduce(lengths) == 1)
+    # An edge within one BFS level has length 1, which settles the gcd at once.
+    return bool((lengths == 1).any() or np.gcd.reduce(lengths) == 1)
 
 
 def has_positive_diagonal(M) -> bool:
@@ -98,7 +99,8 @@ def _contraction_condition(a) -> tuple[bool, float | None]:
     if (diag <= 0).any():
         return False, None
     # Halving the quotient is exact and, unlike 2*m_ii, cannot overflow.
-    c = 0.5 * float(np.max(a / diag[:, None]))
+    # Division by diag > 0 is monotone, so row maxima first give the same c.
+    c = 0.5 * float((a.max(axis=1) / diag).max())
     if c < 1.0:
         return True, c
     return False, None
@@ -137,9 +139,9 @@ def classify(M) -> Classification:
     """Populate the full certificate, reported with every solve."""
     mtx = as_matrix(M)
     a = mtx.entries
-    nonnegative = bool((a >= 0).all())
+    nonnegative = bool(a.min() >= 0)
     positive_diagonal = has_positive_diagonal(mtx)
-    has_zero_row = bool((~(a != 0).any(axis=1)).any())
+    has_zero_row = not a.any(axis=1).all()
     if nonnegative:
         primitive = _is_primitive(a)
         condition, constant = _contraction_condition(a)

@@ -120,10 +120,10 @@ def validate_solvable(M: Matrix) -> None:
     """Reject matrices on which x_i*(Mx)_i = 1 cannot be posed: negative
     entries or an all-zero row."""
     a = M.entries
-    if (a < 0).any():
+    if a.min() < 0:
         i, j = np.argwhere(a < 0)[0]
         raise NonNegativityError(f"matrix entry ({i},{j}) is negative: {a[i, j]}")
-    zero_rows = np.nonzero(~(a != 0).any(axis=1))[0]
+    zero_rows = np.nonzero(~a.any(axis=1))[0]
     if zero_rows.size:
         i = int(zero_rows[0])
         raise ZeroRowError(i, f"row {i} is entirely zero, so x[{i}]*(Mx)[{i}] = 1 is unsatisfiable")

@@ -1,9 +1,10 @@
 """Solvers for x_i * (Mx)_i = 1: log-space Newton, nested-box bracketing,
 contraction iteration, plain fixed-point iteration, and an auto mode.
 
-Auto runs Newton first, from 1/sqrt(rowsum(M)). If Newton fails and the
-diagonal is positive, the paper's nested boxes take over (the bracket, whose
-convergence the paper proves); otherwise Newton's own error is raised.
+Auto runs Newton first, from 1/sqrt(rowsum(M)) refined by two sweeps. If
+Newton fails and the diagonal is positive, the paper's nested boxes take over
+(the bracket, whose convergence the paper proves); otherwise Newton's own
+error is raised.
 solve_newton is the one Newton of the package: damped Newton in y = log x on M
 normalised by a power of four, so that x(4^j M) = x(M) / 2^j holds bitwise.
 
@@ -121,8 +122,7 @@ def _convergence_error(
 
 
 def solve(M, config: SolverConfig | None = None) -> SolveResult:
-    """Dispatch on config.method. Newton starts from 1/sqrt(rowsum(M)), the
-    start auto uses."""
+    """Dispatch on config.method. Newton starts where auto does."""
     mtx = as_matrix(M)
     config = config or SolverConfig()
     if config.method == "auto":
@@ -138,7 +138,7 @@ def solve(M, config: SolverConfig | None = None) -> SolveResult:
 
 
 def solve_auto(M, config: SolverConfig | None = None) -> SolveResult:
-    """Log-space Newton from 1/sqrt(rowsum(M)), at most AUTO_NEWTON_MAX_STEPS
+    """Log-space Newton from its default start, at most AUTO_NEWTON_MAX_STEPS
     steps. If it fails and the diagonal is positive, the bracket's nested
     boxes take over, where the paper proves convergence; the result does not
     count the failed Newton steps. Otherwise Newton's error is raised, carrying
@@ -286,7 +286,7 @@ def _iterate(mtx, config, x, *, lower=None, watch=False, bracket_log=None):
         bad = _kernels.f_apply(m, x, nxt)
         if bad >= 0:
             raise ZeroRowError(int(bad))
-        if watch and not box and (not np.isfinite(nxt).all() or float(np.max(nxt)) > DIVERGENCE_LIMIT):
+        if watch and not box and (not np.isfinite(nxt).all() or float(nxt.max()) > DIVERGENCE_LIMIT):
             return point, iterations, trace, "diverged", gap
         prev, x = x, nxt
         iterations += 1
@@ -305,7 +305,7 @@ def _iterate(mtx, config, x, *, lower=None, watch=False, bracket_log=None):
                 point, best_res = x, r
         trace.append(r)
         if watch and r > config.tol:
-            gap = float(np.max(upper - lower)) if box else float(np.max(np.abs(x - prev)))
+            gap = float((upper - lower).max()) if box else float(np.abs(x - prev).max())
             stall = stall + 1 if prev_gap > 0.0 and gap / prev_gap > STALL_RATIO else 0
             prev_gap = gap
     return point, iterations, trace, "converged", gap
@@ -316,7 +316,7 @@ def _normalise(m):
     in [0.5, 2); A is M itself when k = 0. Scaling by a power of two is exact
     in floating point, so x(M) = x(A) / 2^k bitwise unless an entry of A
     leaves the normal range."""
-    k = int(np.frexp(np.max(m))[1]) // 2
+    k = int(np.frexp(m.max())[1]) // 2
     return (np.ldexp(m, -2 * k) if k else m), k
 
 
@@ -324,22 +324,31 @@ def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -
     """Damped Newton in log space, y = log x, from a positive start.
 
     It solves G(y) = log(x_i*(Ax)_i) = 0 on the normalised A = M / 4^k of
-    _normalise, from x0 (default 1/sqrt(rowsum(M)), summed on A, where no
-    sum overflows), and returns x(M) = x(A) / 2^k. With g = log1p(x*(Ax) - 1)
-    the step s solves (I + diag(1/Ax) A diag(x)) s = -g: from n = KRYLOV_MIN_N
-    on by matrix-free GMRES to a relative residual of min(0.5, max|g|), or
-    looser where tol needs no more; below that, or when GMRES gives up, by
-    LAPACK on the quadratic Jacobian. The trial x*exp(lam*s) is positive by
-    construction; lam is halved until max|g| decreases. Stops once
-    max|x*(Ax) - 1| <= tol. A singular Jacobian (an exactly zero pivot, or a
-    step that is not finite) raises SingularJacobianError; a residual on M
-    above tol at the end raises ConvergenceError. Both carry the last
-    iterate as a non-converged result.
+    _normalise and returns x(M) = x(A) / 2^k. An explicit x0 is used as given.
+    The default start r = 1/sqrt(rowsum(A)) (no sum overflows) is refined,
+    unless it meets tol, by two Richardson sweeps y <- y - w*G(y): w = 1
+    (x <- 1/(Ax)), then w = 1/2 (x <- sqrt(x/(Ax))). Near the solution they
+    multiply the error by (I - S)/2 * (-S), S = diag(x) A diag(x) stochastic:
+    they remove its Perron mode and eigenvalues near 0 and grow no mode. The
+    refined point is kept only if its max|g| is below r's.
+
+    With g = log1p(x*(Ax) - 1) the step s solves
+    (I + diag(1/Ax) A diag(x)) s = -g: from n = KRYLOV_MIN_N on by matrix-free
+    GMRES to a relative residual of min(0.5, max|g|), or looser where tol
+    needs no more; below that, or when GMRES gives up, by LAPACK on the
+    quadratic Jacobian. The trial x*exp(lam*s) is positive by construction;
+    lam is halved until max|g| decreases. Stops once max|x*(Ax) - 1| <= tol;
+    iterations counts Newton steps and trace[0] is the defect where they
+    start. A singular Jacobian (an exactly zero pivot, or a step that is not
+    finite) raises SingularJacobianError; a residual on M above tol at the end
+    raises ConvergenceError. Both carry the last iterate as a non-converged
+    result.
     """
     mtx = as_matrix(M)
     config = config or SolverConfig()
     a, k = _normalise(mtx.entries)
-    if x0 is None:
+    refine = x0 is None
+    if refine:
         rows = a.sum(axis=1)
         if not (rows > 0).all():
             raise ValidationError("the default start 1/sqrt(rowsum(M)) needs positive row sums")
@@ -350,8 +359,15 @@ def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -
     n = mtx.n
     d = np.empty(n)
     dt = np.empty(n)
-    g, gn = _log_defect(a, x, d)
-    dn = float(np.max(np.abs(d)))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        g, gn = _log_defect(a, x, d)
+        if refine and float(np.abs(d).max()) > config.tol:
+            xt = 1.0 / (a @ x)
+            xt = np.sqrt(xt / (a @ xt))
+            gt, gtn = _log_defect(a, xt, dt)
+            if gtn < gn:
+                x, g, gn, d, dt = xt, gt, gtn, dt, d
+    dn = float(np.abs(d).max())
     trace = [dn]
     iterations = 0
     if not np.isfinite(gn):
@@ -361,6 +377,7 @@ def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -
             "is not finite there",
             result=best,
         )
+    jac = None
     while dn > config.tol:
         if iterations >= config.max_iter:
             raise _convergence_error(mtx, np.ldexp(x, -k), iterations, "newton", trace, _cls)
@@ -370,7 +387,8 @@ def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -
             eta = min(0.5, max(gn, 0.5 * config.tol / float(np.sqrt(g @ g))))
             s = _kernels.krylov_step(a, x, g, eta, KRYLOV_MAX_ITER)
         if s is None:
-            jac = np.empty((n, n))
+            if jac is None:
+                jac = np.empty((n, n))
             _kernels.newton_system(a, x, jac, d)
             try:
                 s = np.linalg.solve(jac, -(1.0 + d) * g) / x
@@ -382,14 +400,14 @@ def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -
                 f"newton: the Jacobian is singular at iteration {iterations}", result=best
             )
         lam = 1.0
-        for _ in range(NEWTON_MAX_HALVINGS + 1):
-            with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for _ in range(NEWTON_MAX_HALVINGS + 1):
                 xt = x * np.exp(lam * s)
-            gt, gtn = _log_defect(a, xt, dt)
-            if gtn < gn:
-                break
-            lam *= 0.5
-        else:
+                gt, gtn = _log_defect(a, xt, dt)
+                if gtn < gn:
+                    break
+                lam *= 0.5
+        if not gtn < gn:
             best = _result(mtx, np.ldexp(x, -k), iterations, "newton", trace, False, _cls)
             raise ConvergenceError(
                 f"newton: line search could not reduce the log defect below {gn:.3e} "
@@ -397,7 +415,7 @@ def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -
                 result=best,
             )
         x, g, gn, d, dt = xt, gt, gtn, dt, d
-        dn = float(np.max(np.abs(d)))
+        dn = float(np.abs(d).max())
         iterations += 1
         trace.append(dn)
     res = _result(mtx, np.ldexp(x, -k), iterations, "newton", trace, True, _cls)
@@ -412,12 +430,12 @@ def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -
 
 def _log_defect(a, x, d):
     """Fill d with the quadratic defect x*(Ax) - 1 and return g = log1p(d)
-    with max|g|. A product that overflowed or vanished gives an infinite or
-    NaN norm, which no line search accepts, instead of a warning."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        _kernels.quad_defect(a, x, d)
-        g = np.log1p(d)
-    return g, float(np.max(np.abs(g)))
+    with max|g|. Callers ignore floating-point errors around it: a product
+    that overflowed or vanished gives an infinite or NaN norm, which no line
+    search accepts, instead of a warning."""
+    _kernels.quad_defect(a, x, d)
+    g = np.log1p(d)
+    return g, float(np.abs(g).max())
 
 
 def multistart_uniqueness(M, config: SolverConfig | None = None, starts: int = 20):

@@ -5,16 +5,21 @@ import pytest
 
 from helpers import random_primitive
 from inversepoint import (
+    Classification,
     ConvergenceError,
     Matrix,
     NonNegativityError,
     NotPrimitiveError,
+    ZeroRowError,
     classify,
     contraction_condition,
     has_positive_diagonal,
     is_primitive,
     perron_vector,
 )
+from inversepoint.classify import _bfs_levels
+from inversepoint.core import validate_solvable
+from inversepoint.solver import _normalise
 
 
 def test_is_primitive_examples(triangular, zero_diag):
@@ -208,3 +213,88 @@ def test_classify_negative_matrix():
     assert not c.nonnegative
     assert not c.primitive and not c.contraction_condition
     assert c.positive_diagonal
+
+
+def _old_classify(a):
+    """classify as written with n-by-n temporaries, kept as the reference
+    for the reductions that replaced them."""
+    nonnegative = bool((a >= 0).all())
+    diag = np.diagonal(a)
+    primitive, condition, constant = False, False, None
+    if nonnegative:
+        pattern = a > 0
+        if pattern.all():
+            primitive = True
+        else:
+            level = _bfs_levels(pattern)
+            if (level < 0).any() or (_bfs_levels(pattern.T) < 0).any():
+                primitive = False
+            elif np.diagonal(pattern).any():
+                primitive = True
+            else:
+                lengths = (level[:, None] + 1 - level[None, :])[pattern]
+                primitive = bool(np.gcd.reduce(lengths) == 1)
+        if (diag > 0).all():
+            c = 0.5 * float(np.max(a / diag[:, None]))
+            condition, constant = (True, c) if c < 1.0 else (False, None)
+    return Classification(
+        nonnegative=nonnegative,
+        positive_diagonal=bool((diag > 0).all()),
+        primitive=primitive,
+        contraction_condition=condition,
+        contraction_constant=constant,
+        has_zero_row=bool((~(a != 0).any(axis=1)).any()),
+    )
+
+
+def _old_validate_message(a):
+    if (a < 0).any():
+        i, j = np.argwhere(a < 0)[0]
+        return NonNegativityError, f"matrix entry ({i},{j}) is negative: {a[i, j]}"
+    zero_rows = np.nonzero(~(a != 0).any(axis=1))[0]
+    if zero_rows.size:
+        i = int(zero_rows[0])
+        return ZeroRowError, f"row {i} is entirely zero, so x[{i}]*(Mx)[{i}] = 1 is unsatisfiable"
+    return None, None
+
+
+def _reduction_cases():
+    rng = np.random.default_rng(2024)
+    for _ in range(400):
+        n = int(rng.integers(1, 9))
+        a = rng.uniform(0.0, 2.0, (n, n))
+        kind = int(rng.integers(0, 7))
+        if kind == 1:
+            np.fill_diagonal(a, 0.0)
+        elif kind == 2:
+            a[rng.integers(0, n)] = 0.0
+        elif kind == 3:
+            a[rng.uniform(size=(n, n)) < 0.5] = 0.0
+        elif kind == 4:  # sometimes in the zeroed row, which is then not all zero
+            a[rng.integers(0, n)] = 0.0
+            a[rng.integers(0, n), rng.integers(0, n)] = -rng.uniform(0.1, 1.0)
+        elif kind == 5:
+            a = np.roll(np.eye(n), 1, axis=1) * a  # a cycle: imprimitive for n > 1
+            a[rng.uniform(size=(n, n)) < 0.2] = -0.0
+        elif kind == 6:
+            a = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), a)  # bipartite
+        yield a * float(rng.choice([1e-300, 1e-8, 1.0, 1e8, 1e300]))
+
+
+def test_reductions_match_the_n_by_n_formulas_bitwise():
+    outcomes = set()
+    for a in _reduction_cases():
+        m = Matrix(a)
+        assert classify(m) == _old_classify(a)
+        error, message = _old_validate_message(a)
+        if error is None:
+            validate_solvable(m)
+        else:
+            with pytest.raises(error) as err:
+                validate_solvable(m)
+            assert str(err.value) == message
+        outcomes.add(error)
+        k = int(np.frexp(np.max(a))[1]) // 2
+        scaled, got = _normalise(a)
+        assert got == k and scaled.tobytes() == (np.ldexp(a, -2 * k) if k else a).tobytes()
+    assert outcomes == {None, NonNegativityError, ZeroRowError}

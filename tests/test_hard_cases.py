@@ -125,5 +125,20 @@ def test_dense_n400_weak_diagonal():
     np.fill_diagonal(a, rng.uniform(0.05, 0.3, 400))
     res = solve(a)
     check_converged_invariants(Matrix(a), res)
-    assert (res.method_used, res.iterations) == ("newton", 3)
+    assert (res.method_used, res.iterations) == ("newton", 2)
     assert np.array_equal(solve(4.0 * a).x.values, np.ldexp(res.x.values, -1))
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8])
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_even_cycle_plus_eps_identity_from_off_starts(n, eps):
+    # M = P + eps*I for the n-cycle P has row sums 1 + eps, so x = 1/sqrt(1 + eps);
+    # auto's start is exact, so Newton starts off it. As eps -> 0 the pattern
+    # becomes bipartite and kappa = ||(I + S)^-1|| grows like 0.5/eps: the
+    # first-order bound on the relative error of x is kappa * residual.
+    m = np.roll(np.eye(n), 1, axis=1) + eps * np.eye(n)
+    exact = 1.0 / np.sqrt(1.0 + eps)
+    for x0 in (np.linspace(0.5, 2.0, n), 10.0 ** np.random.default_rng([n, 7]).uniform(-1.0, 1.0, n)):
+        res = solve_newton(m, x0)
+        check_converged_invariants(Matrix(m), res)
+        assert np.max(np.abs(res.x.values / exact - 1.0)) <= (0.5 / eps) * res.residual + 1e-14

@@ -218,11 +218,14 @@ def test_solve_newton_budget_error_carries_best(curves_2d):
 
 
 def test_solve_newton_default_start_is_autos_start(triangular):
-    # Without x0, solve_newton starts where auto does, from 1/sqrt(rowsum(M)).
+    # Without x0, solve_newton starts where auto does: from 1/sqrt(rowsum(M))
+    # refined by two sweeps, which lower the start's defect here.
     res = solve_newton(triangular)
     assert np.array_equal(res.x.values, solve(triangular).x.values)
     start = 1.0 / np.sqrt(triangular.entries.sum(axis=1))
-    assert np.array_equal(res.x.values, solve_newton(triangular, start).x.values)
+    raw = solve_newton(triangular, start)
+    assert res.trace[0] < raw.trace[0]
+    assert np.max(np.abs(res.x.values / raw.x.values - 1.0)) <= 1e-13
     # That start needs positive row sums; solve_newton does not validate M.
     with pytest.raises(ValidationError, match="positive row sums"):
         solve_newton(Matrix([[1.0, 2.0], [0.0, 0.0]]))
@@ -365,13 +368,15 @@ def test_solve_newton_singular_jacobian_raises():
 
 def test_fixed_point_fallback_on_singular_jacobian_carries_best():
     # Auto has no fallback without a positive diagonal, so Newton's own error
-    # ends the solve. Its start 1/sqrt(rowsum) = (1/sqrt(2), 1) has the
-    # Jacobian [[2, sqrt(2)], [1, 1/sqrt(2)]], singular at once.
+    # ends the solve. Any Jacobian of this 2-cycle is singular; Newton's start
+    # is the refined point (2^-5/4, 2^3/4), whose log defect (+-log sqrt(2))
+    # rounds below that of 1/sqrt(rowsum) = (1/sqrt(2), 1).
     with pytest.raises(SingularJacobianError, match="Jacobian is singular") as err:
         solve(Matrix([[0, 2], [1, 0]]))
     best = err.value.result
     assert best.method_used == "newton" and not best.converged
-    assert np.array_equal(best.x.values, [1.0 / np.sqrt(2.0), 1.0])
+    assert best.x.values == pytest.approx([2.0**-1.25, 2.0**0.75], rel=1e-15)
+    assert best.residual == pytest.approx(np.sqrt(2.0) - 1.0, rel=1e-15)
 
 
 def test_classify_and_validate_once_per_solve(monkeypatch, triangular, zero_diag):
@@ -515,13 +520,13 @@ PINNED_PATHS = [
     (random_positive_diagonal, 3, "bracket", 94, 3),
     (_one_zero_diagonal, 1, "newton", None, 3),
     (_one_zero_diagonal, 2, "newton", None, 3),
-    (_one_zero_diagonal, 3, "newton", None, 4),
-    (_zero_diagonal, 1, "newton", None, 4),
+    (_one_zero_diagonal, 3, "newton", None, 3),
+    (_zero_diagonal, 1, "newton", None, 3),
     (_zero_diagonal, 2, "newton", None, 3),
-    (_zero_diagonal, 3, "newton", None, 4),
-    (_weak_diagonal, 1, "newton", None, 4),
+    (_zero_diagonal, 3, "newton", None, 3),
+    (_weak_diagonal, 1, "newton", None, 3),
     (_weak_diagonal, 2, "newton", None, 3),
-    (_weak_diagonal, 3, "newton", None, 4),
+    (_weak_diagonal, 3, "newton", None, 3),
 ]
 
 

@@ -44,9 +44,12 @@ def residual_inf(m, x) -> float:
     return float(np.abs(x * (m @ x) - 1.0).max())
 
 
-def quad_defect(m, x, out) -> None:
-    """out_i = x_i * (Mx)_i - 1, the per-row defect of the quadratic system."""
-    out[:] = x * (m @ x) - 1.0
+def quad_defect(m, x, out) -> np.ndarray:
+    """out_i = x_i * (Mx)_i - 1, the per-row defect of the quadratic system.
+    Returns the product Mx."""
+    mx = m @ x
+    out[:] = x * mx - 1.0
+    return mx
 
 
 def newton_system(m, x, jac, g) -> None:

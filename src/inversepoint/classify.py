@@ -65,13 +65,13 @@ def is_primitive(M) -> bool:
     with level the BFS distance from node 0; a positive diagonal entry is a
     cycle of length 1. For n = 1 this gives primitive iff m_11 > 0.
     """
-    return _is_primitive(_nonnegative_entries(M))
+    a = _nonnegative_entries(M)
+    return bool(a.min() > 0) or _is_primitive(a)
 
 
 def _is_primitive(a) -> bool:
-    """is_primitive on a nonnegative ndarray, without the check."""
-    if a.min() > 0:
-        return True
+    """is_primitive on a nonnegative ndarray, without the check or the
+    shortcut for positive a."""
     pattern = a > 0
     level = _bfs_levels(pattern)
     if (level < 0).any() or (_bfs_levels(pattern.T) < 0).any():
@@ -139,15 +139,17 @@ def classify(M) -> Classification:
     """Populate the full certificate, reported with every solve."""
     mtx = as_matrix(M)
     a = mtx.entries
-    nonnegative = bool(a.min() >= 0)
-    positive_diagonal = has_positive_diagonal(mtx)
-    has_zero_row = not a.any(axis=1).all()
-    if nonnegative:
-        primitive = _is_primitive(a)
-        condition, constant = _contraction_condition(a)
+    lo = float(a.min())
+    if lo > 0:
+        # A positive matrix: one reduction settles all but the contraction.
+        nonnegative = positive_diagonal = primitive = True
+        has_zero_row = False
     else:
-        primitive = False
-        condition, constant = False, None
+        nonnegative = lo >= 0
+        positive_diagonal = has_positive_diagonal(mtx)
+        has_zero_row = not a.any(axis=1).all()
+        primitive = nonnegative and _is_primitive(a)
+    condition, constant = _contraction_condition(a) if nonnegative else (False, None)
     return Classification(
         nonnegative=nonnegative,
         positive_diagonal=positive_diagonal,

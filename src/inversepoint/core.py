@@ -116,9 +116,12 @@ def inverse_elementwise(v) -> PositiveVector:
     return PositiveVector(1.0 / xv.values)
 
 
-def validate_solvable(M: Matrix) -> None:
+def validate_solvable(M: Matrix, cls=None) -> None:
     """Reject matrices on which x_i*(Mx)_i = 1 cannot be posed: negative
-    entries or an all-zero row."""
+    entries or an all-zero row. Given M's Classification as cls, it reads M
+    only to name the offending entry or row."""
+    if cls is not None and cls.nonnegative and not cls.has_zero_row:
+        return
     a = M.entries
     if a.min() < 0:
         i, j = np.argwhere(a < 0)[0]

@@ -1,10 +1,11 @@
 """Solvers for x_i * (Mx)_i = 1: log-space Newton, nested-box bracketing,
 contraction iteration, plain fixed-point iteration, and an auto mode.
 
-Auto runs Newton first, from 1/sqrt(rowsum(M)) refined by two sweeps. If
-Newton fails and the diagonal is positive, the paper's nested boxes take over
-(the bracket, whose convergence the paper proves); otherwise Newton's own
-error is raised.
+Auto runs Newton first, from 1/sqrt(rowsum(M)) refined by Richardson sweeps
+for as long as they contract fast; dense inputs need no Newton step after
+them. If Newton fails and the diagonal is positive, the paper's nested boxes
+take over (the bracket, whose convergence the paper proves); otherwise
+Newton's own error is raised.
 solve_newton is the one Newton of the package: damped Newton in y = log x on M
 normalised by a power of four, so that x(4^j M) = x(M) / 2^j holds bitwise.
 
@@ -15,8 +16,8 @@ non-converged result.
 
 The contraction, bracket and fixed-point solvers all iterate the update map
 F through one loop, _iterate; the bracket hands a stalled box to Newton. Each
-solve validates and classifies the matrix once and passes the Classification
-down.
+solve classifies the matrix once, validates it from that Classification and
+passes it down.
 """
 
 from __future__ import annotations
@@ -52,9 +53,23 @@ DIVERGENCE_LIMIT = 1e100
 # defect.
 NEWTON_MAX_HALVINGS = 40
 
+# Before its halvings, a Newton step is scaled to move no entry of log x by
+# more than this. Near-bipartite inputs, where I + S is nearly singular, get
+# full steps that overflow; the cap saves most of their halvings (n = 200:
+# 20.7 -> 12.2 defect evaluations per solve, Newton steps 6.46 -> 6.50). A cap
+# of 2 costs steps (6.94).
+NEWTON_MAX_STEP = 4.0
+
+# The default start is swept again while the last sweep pair cut max|g| by at
+# least this factor, which dense inputs reach (|lambda_2(S)| is small) and
+# near-bipartite ones do not (lambda_2 is near -1). Timed on the perfbench
+# pools against 2, 3, 5 and 20, 10 was fastest on both workloads.
+SWEEP_MIN_RATE = 10.0
+
 # Auto's Newton pass hands over to the iterations after this many steps. A
-# step costs O(n^3) where an F round costs O(n^2), so max_iter is no bound for
-# it; on the benchmark inputs and the hard cases it needs at most seven.
+# step costs an LU solve or a GMRES run where an F round costs one product with
+# M, so max_iter is no bound for it; on the benchmark inputs and the hard cases
+# it needs at most eight.
 AUTO_NEWTON_MAX_STEPS = 100
 
 # From n = KRYLOV_MIN_N (the measured crossover) a Newton step is matrix-free GMRES,
@@ -131,10 +146,11 @@ def solve(M, config: SolverConfig | None = None) -> SolveResult:
         return solve_bracket(mtx, config)
     if config.method == "contraction":
         return solve_contraction(mtx, config)
-    validate_solvable(mtx)
+    cls = classify(mtx)
+    validate_solvable(mtx, cls)
     if config.method == "newton":
-        return solve_newton(mtx, None, config)
-    return _fixed_point(mtx, classify(mtx), config)
+        return solve_newton(mtx, None, config, _cls=cls)
+    return _fixed_point(mtx, cls, config)
 
 
 def solve_auto(M, config: SolverConfig | None = None) -> SolveResult:
@@ -145,8 +161,8 @@ def solve_auto(M, config: SolverConfig | None = None) -> SolveResult:
     its last iterate."""
     mtx = as_matrix(M)
     config = config or SolverConfig()
-    validate_solvable(mtx)
     cls = classify(mtx)
+    validate_solvable(mtx, cls)
     first = replace(config, max_iter=min(config.max_iter, AUTO_NEWTON_MAX_STEPS))
     try:
         return solve_newton(mtx, None, first, _cls=cls)
@@ -166,8 +182,8 @@ def solve_contraction(M, config: SolverConfig | None = None) -> SolveResult:
     """
     mtx = as_matrix(M)
     config = config or SolverConfig()
-    validate_solvable(mtx)
     cls = classify(mtx)
+    validate_solvable(mtx, cls)
     if not cls.contraction_condition:
         raise ContractionPreconditionError(
             "2*m_ii > m_ij fails for some pair; the iteration has no contraction certificate"
@@ -193,16 +209,16 @@ def solve_bracket(M, config: SolverConfig | None = None, *, bracket_log=None) ->
     """
     mtx = as_matrix(M)
     config = config or SolverConfig()
-    validate_solvable(mtx)
-    diag = np.diagonal(mtx.entries)
-    if (diag <= 0).any():
-        i = int(np.nonzero(diag <= 0)[0][0])
+    cls = classify(mtx)
+    validate_solvable(mtx, cls)
+    if not cls.positive_diagonal:
+        i = int(np.nonzero(np.diagonal(mtx.entries) <= 0)[0][0])
         raise ZeroRowError(
             i,
             f"bracketing starts at the zero vector, where row {i} (zero diagonal) "
             f"has no positive root; use auto, fixed_point, or newton instead",
         )
-    return _bracket(mtx, classify(mtx), config, bracket_log)
+    return _bracket(mtx, cls, config, bracket_log)
 
 
 def _bracket(mtx, cls, config, bracket_log=None) -> SolveResult:
@@ -325,30 +341,37 @@ def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -
 
     It solves G(y) = log(x_i*(Ax)_i) = 0 on the normalised A = M / 4^k of
     _normalise and returns x(M) = x(A) / 2^k. An explicit x0 is used as given.
-    The default start r = 1/sqrt(rowsum(A)) (no sum overflows) is refined,
-    unless it meets tol, by two Richardson sweeps y <- y - w*G(y): w = 1
-    (x <- 1/(Ax)), then w = 1/2 (x <- sqrt(x/(Ax))). Near the solution they
-    multiply the error by (I - S)/2 * (-S), S = diag(x) A diag(x) stochastic:
-    they remove its Perron mode and eigenvalues near 0 and grow no mode. The
-    refined point is kept only if its max|g| is below r's.
+    The default start r = 1/sqrt(rowsum(A)) (no sum overflows) is first swept
+    while its defect is above tol. A sweep pair is two Richardson steps
+    y <- y - w*G(y): w = 1 (x <- 1/(Ax), whose Ax is the one behind the
+    defect), then w = 1/2 (x <- sqrt(x/(Ax))). Near the solution a pair
+    multiplies the error by (I - S)/2 * (-S), S = diag(x) A diag(x)
+    stochastic: by (1 - lambda)/2 * |lambda| on an eigenvalue lambda of S, a
+    tenth or less on dense inputs, where |lambda_2(S)| is small. A pair is
+    kept only if it lowers max|g|, and another follows only if it cut max|g|
+    by at least SWEEP_MIN_RATE, so where lambda_2 is near -1 (the factor near
+    1) Newton takes over after a pair or two.
 
     With g = log1p(x*(Ax) - 1) the step s solves
     (I + diag(1/Ax) A diag(x)) s = -g: from n = KRYLOV_MIN_N on by matrix-free
     GMRES to a relative residual of min(0.5, max|g|), or looser where tol
     needs no more; below that, or when GMRES gives up, by LAPACK on the
     quadratic Jacobian. The trial x*exp(lam*s) is positive by construction;
-    lam is halved until max|g| decreases. Stops once max|x*(Ax) - 1| <= tol;
-    iterations counts Newton steps and trace[0] is the defect where they
-    start. A singular Jacobian (an exactly zero pivot, or a step that is not
-    finite) raises SingularJacobianError; a residual on M above tol at the end
-    raises ConvergenceError. Both carry the last iterate as a non-converged
-    result.
+    lam starts where no entry of lam*s exceeds NEWTON_MAX_STEP, at most 1, and
+    is halved until max|g| decreases. Stops once max|x*(Ax) - 1| <= tol.
+
+    iterations counts Newton steps. trace holds max|x*(Ax) - 1| at the start,
+    then after each kept sweep pair, then after each Newton step, so the
+    result took len(trace) - 1 - iterations sweep pairs. A singular Jacobian
+    (an exactly zero pivot, or a step that is not finite) raises
+    SingularJacobianError; a residual on M above tol at the end raises
+    ConvergenceError. Both carry the last iterate as a non-converged result.
     """
     mtx = as_matrix(M)
     config = config or SolverConfig()
     a, k = _normalise(mtx.entries)
-    refine = x0 is None
-    if refine:
+    sweep = x0 is None
+    if sweep:
         rows = a.sum(axis=1)
         if not (rows > 0).all():
             raise ValidationError("the default start 1/sqrt(rowsum(M)) needs positive row sums")
@@ -360,15 +383,20 @@ def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -
     d = np.empty(n)
     dt = np.empty(n)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        g, gn = _log_defect(a, x, d)
-        if refine and float(np.abs(d).max()) > config.tol:
-            xt = 1.0 / (a @ x)
+        g, gn, ax = _log_defect(a, x, d)
+        dn = float(np.abs(d).max())
+        trace = [dn]
+        while sweep and dn > config.tol:
+            # The product behind x's defect is the pair's first half-step.
+            xt = 1.0 / ax
             xt = np.sqrt(xt / (a @ xt))
-            gt, gtn = _log_defect(a, xt, dt)
-            if gtn < gn:
-                x, g, gn, d, dt = xt, gt, gtn, dt, d
-    dn = float(np.abs(d).max())
-    trace = [dn]
+            gt, gtn, axt = _log_defect(a, xt, dt)
+            if not gtn < gn:
+                break
+            sweep = SWEEP_MIN_RATE * gtn <= gn
+            x, g, gn, ax, d, dt = xt, gt, gtn, axt, dt, d
+            dn = float(np.abs(d).max())
+            trace.append(dn)
     iterations = 0
     if not np.isfinite(gn):
         best = _result(mtx, np.ldexp(x, -k), 0, "newton", trace, False, _cls)
@@ -399,11 +427,12 @@ def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -
             raise SingularJacobianError(
                 f"newton: the Jacobian is singular at iteration {iterations}", result=best
             )
-        lam = 1.0
+        smax = float(np.abs(s).max())
+        lam = 1.0 if smax <= NEWTON_MAX_STEP else NEWTON_MAX_STEP / smax
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for _ in range(NEWTON_MAX_HALVINGS + 1):
                 xt = x * np.exp(lam * s)
-                gt, gtn = _log_defect(a, xt, dt)
+                gt, gtn, _ = _log_defect(a, xt, dt)
                 if gtn < gn:
                     break
                 lam *= 0.5
@@ -429,13 +458,13 @@ def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -
 
 
 def _log_defect(a, x, d):
-    """Fill d with the quadratic defect x*(Ax) - 1 and return g = log1p(d)
-    with max|g|. Callers ignore floating-point errors around it: a product
+    """Fill d with the quadratic defect x*(Ax) - 1 and return g = log1p(d),
+    max|g| and the product Ax. Callers ignore floating-point errors around it: a product
     that overflowed or vanished gives an infinite or NaN norm, which no line
     search accepts, instead of a warning."""
-    _kernels.quad_defect(a, x, d)
+    ax = _kernels.quad_defect(a, x, d)
     g = np.log1p(d)
-    return g, float(np.abs(g).max())
+    return g, float(np.abs(g).max()), ax
 
 
 def multistart_uniqueness(M, config: SolverConfig | None = None, starts: int = 20):
@@ -444,10 +473,10 @@ def multistart_uniqueness(M, config: SolverConfig | None = None, starts: int = 2
     solutions). Small distances are empirical evidence of uniqueness."""
     mtx = as_matrix(M)
     config = config or SolverConfig()
-    validate_solvable(mtx)
+    cls = classify(mtx)
+    validate_solvable(mtx, cls)
     if starts < 1:
         raise ValidationError("starts must be at least 1")
-    cls = classify(mtx)
     rng = np.random.default_rng(config.seed if config.seed is not None else 0)
     first = None
     solutions = []

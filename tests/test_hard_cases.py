@@ -119,14 +119,20 @@ def test_power_of_four_scale_law_is_bitwise(j):
 
 def test_dense_n400_weak_diagonal():
     # Off-diagonal U(0, 1), diagonal U(0.05, 0.3): at this size the bracket
-    # iteration runs out of its 10000-round budget.
+    # iteration runs out of its 10000-round budget. Auto's swept start meets
+    # tol without a Newton step; from the unswept start Newton takes GMRES
+    # steps to the same x.
     rng = np.random.default_rng(400)
     a = rng.uniform(0.0, 1.0, (400, 400))
     np.fill_diagonal(a, rng.uniform(0.05, 0.3, 400))
     res = solve(a)
     check_converged_invariants(Matrix(a), res)
-    assert (res.method_used, res.iterations) == ("newton", 2)
+    assert (res.method_used, res.iterations, len(res.trace)) == ("newton", 0, 7)
     assert np.array_equal(solve(4.0 * a).x.values, np.ldexp(res.x.values, -1))
+    steps = solve_newton(a, 1.0 / np.sqrt(a.sum(axis=1)))
+    check_converged_invariants(Matrix(a), steps)
+    assert steps.iterations == 3
+    assert np.max(np.abs(steps.x.values / res.x.values - 1.0)) <= 1e-11
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8])

@@ -1,13 +1,17 @@
 """Newton steps by matrix-free GMRES: from n = KRYLOV_MIN_N on, solve_newton
 takes its step from _kernels.krylov_step and uses LAPACK only when GMRES
 gives up. The two paths must agree on x up to the conditioning of the
-problem, and the LAPACK path must stay what it was."""
+problem, and the LAPACK path must stay what it was.
+
+The sweeps of the default start solve dense inputs without a Newton step, so
+the dense tests start Newton from 1/sqrt(rowsum(M)) explicitly (an explicit
+start is never swept) and check that steps ran."""
 
 import numpy as np
 import pytest
 
 import inversepoint.solver as solver_module
-from inversepoint import Matrix, SingularJacobianError, SolverConfig, solve, solve_newton
+from inversepoint import Matrix, SingularJacobianError, solve, solve_newton
 from inversepoint import _kernels
 from test_solver import check_converged_invariants
 
@@ -36,13 +40,32 @@ def _lu_only(monkeypatch):
     monkeypatch.setattr(solver_module, "KRYLOV_MIN_N", np.iinfo(np.int64).max)
 
 
+def _unswept(a):
+    return solve_newton(a, 1.0 / np.sqrt(a.sum(axis=1)))
+
+
+def _counting_krylov_steps(monkeypatch):
+    calls = []
+    original = _kernels.krylov_step
+
+    def counted(*args):
+        calls.append(args[0].shape[0])
+        return original(*args)
+
+    monkeypatch.setattr(_kernels, "krylov_step", counted)
+    return calls
+
+
 @pytest.mark.parametrize("n, seed", [(200, 1), (200, 2), (400, 1)])
 def test_krylov_steps_agree_with_lapack_steps(monkeypatch, n, seed):
     a = _dense(n, seed)
-    res = solve(a)
+    calls = _counting_krylov_steps(monkeypatch)
+    res = _unswept(a)
     check_converged_invariants(Matrix(a), res)
+    assert res.iterations >= 2 and len(calls) == res.iterations
     _lu_only(monkeypatch)
-    lu = solve(a)
+    lu = _unswept(a)
+    assert lu.iterations >= 2 and len(calls) == res.iterations
     assert np.max(np.abs(res.x.values / lu.x.values - 1.0)) <= 1e-11
 
 
@@ -66,9 +89,10 @@ def test_krylov_steps_on_a_near_bipartite_matrix(monkeypatch, eps):
 def test_krylov_giving_up_is_bitwise_the_lapack_path(monkeypatch):
     a = _dense(200, 3)
     monkeypatch.setattr(_kernels, "krylov_step", lambda *args: None)
-    fallback = solve(a)
+    fallback = _unswept(a)
     _lu_only(monkeypatch)
-    lu = solve(a)
+    lu = _unswept(a)
+    assert lu.iterations >= 2
     assert np.array_equal(fallback.x.values, lu.x.values)
     assert (fallback.iterations, fallback.residual) == (lu.iterations, lu.residual)
 
@@ -85,18 +109,11 @@ def test_non_finite_krylov_step_raises_with_the_iterate(monkeypatch):
 
 
 def test_krylov_starts_at_its_threshold(monkeypatch):
-    calls = []
-    original = _kernels.krylov_step
-
-    def counted(*args):
-        calls.append(args[0].shape[0])
-        return original(*args)
-
-    monkeypatch.setattr(_kernels, "krylov_step", counted)
+    calls = _counting_krylov_steps(monkeypatch)
     n = solver_module.KRYLOV_MIN_N
     for size in (n - 1, n):
-        res = solve(_dense(size, 1), SolverConfig(method="newton"))
-        assert res.converged
+        res = _unswept(_dense(size, 1))
+        assert res.converged and res.iterations >= 2
     assert calls and set(calls) == {n}
 
 
@@ -105,3 +122,23 @@ def test_power_of_four_scale_law_is_bitwise_at_n400(j):
     a = _dense(400, 2)
     x = solve(a).x.values
     assert np.array_equal(solve(np.ldexp(a, 2 * j)).x.values, np.ldexp(x, -j))
+
+
+# (eps, Newton steps, defect evaluations) of auto on the near-bipartite
+# matrix. Uncapped, the first full steps overflow and the line search halves
+# them many times: (7, 15), (8, 27) and (7, 34) with NEWTON_MAX_STEP = inf.
+CAPPED_STEP_COUNTS = [(1e-2, 6, 9), (1e-4, 5, 8), (1e-6, 8, 13)]
+
+
+@pytest.mark.parametrize("eps, steps, defects", CAPPED_STEP_COUNTS)
+def test_capped_steps_save_halvings_on_near_bipartite_inputs(monkeypatch, eps, steps, defects):
+    calls = []
+    original = _kernels.quad_defect
+
+    def counted(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(_kernels, "quad_defect", counted)
+    res = solve(_near_bipartite(200, eps))
+    assert res.converged and (res.iterations, len(calls)) == (steps, defects)

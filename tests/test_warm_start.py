@@ -1,5 +1,7 @@
-"""The refined default start of solve_newton: two Richardson sweeps from
-1/sqrt(rowsum(A)), kept only where they lower max|log defect|."""
+"""The swept default start of solve_newton: Richardson sweep pairs from
+1/sqrt(rowsum(A)), each kept only where it lowers max|log defect|, repeated
+while the last one cut it by at least SWEEP_MIN_RATE. trace records the
+start, then each kept pair, then each Newton step."""
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from helpers import random_positive_diagonal
 from inversepoint import Matrix, solve, solve_newton
 from inversepoint._kernels import residual_inf
 from inversepoint.solver import _normalise
+from test_krylov import _near_bipartite
 
 
 def _raw_start(m):
@@ -16,29 +19,62 @@ def _raw_start(m):
     return np.ldexp(1.0 / np.sqrt(a.sum(axis=1)), -k)
 
 
-def test_refined_point_is_dropped_when_it_does_not_lower_the_defect(monkeypatch, triangular):
+def _pairs(res):
+    return len(res.trace) - 1 - res.iterations
+
+
+def _one_pair(a):
+    # The pair x <- 1/(Ax), then x <- sqrt(x/(Ax)), from the raw start.
+    x = 1.0 / (a @ _raw_start(a))
+    return np.sqrt(x / (a @ x))
+
+
+def _with_defect_raised_at_call(monkeypatch, which):
+    """Make the which-th _log_defect call report a max|g| above every other."""
     real = solver_module._log_defect
     calls = []
 
-    def second_call_is_worse(a, x, d):
-        g, gn = real(a, x, d)
+    def raised(a, x, d):
+        g, gn, ax = real(a, x, d)
         calls.append(gn)
-        return g, (np.inf if len(calls) == 2 else gn)
+        return g, (np.inf if len(calls) == which else gn), ax
 
-    monkeypatch.setattr(solver_module, "_log_defect", second_call_is_worse)
+    monkeypatch.setattr(solver_module, "_log_defect", raised)
+
+
+def test_refined_point_is_dropped_when_it_does_not_lower_the_defect(monkeypatch, triangular):
+    _with_defect_raised_at_call(monkeypatch, 2)
     res = solve_newton(triangular)
     monkeypatch.undo()
     raw = solve_newton(triangular, _raw_start(triangular.entries))
+    assert _pairs(res) == 0
     assert np.array_equal(res.trace, raw.trace)
     assert res.x.values.tobytes() == raw.x.values.tobytes()
     assert res.iterations == raw.iterations
+
+
+def test_a_later_pair_that_raises_the_defect_is_not_kept(monkeypatch):
+    # Unpatched, this input takes several pairs and no Newton step. With the
+    # second pair's defect raised, the loop keeps the first pair's point and
+    # Newton runs from there, exactly as from that point given explicitly.
+    a = _dense(100)
+    assert (solve_newton(a).iterations, _pairs(solve_newton(a))) == (0, 8)
+    _with_defect_raised_at_call(monkeypatch, 3)
+    res = solve_newton(a)
+    monkeypatch.undo()
+    after_one = solve_newton(a, _one_pair(a))
+    assert _pairs(res) == 1 and res.iterations >= 1
+    assert np.array_equal(res.trace[1:], after_one.trace)
+    assert res.x.values.tobytes() == after_one.x.values.tobytes()
 
 
 def test_explicit_start_is_never_refined(triangular):
     x0 = _raw_start(triangular.entries)
     res = solve_newton(triangular, x0)
     assert res.trace[0] == residual_inf(triangular.entries, x0)
-    assert res.trace[0] > solve_newton(triangular).trace[0]
+    assert _pairs(res) == 0
+    swept = solve_newton(triangular)
+    assert _pairs(swept) >= 1 and swept.trace[0] == res.trace[0] > swept.trace[_pairs(swept)]
 
 
 @pytest.mark.parametrize(
@@ -55,7 +91,7 @@ def test_explicit_start_is_never_refined(triangular):
 def test_exact_starts_take_no_step_and_stay_bitwise(m):
     # Constant row sums: 1/sqrt(rowsum) already meets tol, so no sweep runs.
     res = solve(m)
-    assert (res.method_used, res.iterations, res.converged) == ("newton", 0, True)
+    assert (res.method_used, res.iterations, _pairs(res), res.converged) == ("newton", 0, 0, True)
     assert res.x.values.tobytes() == _raw_start(m).tobytes()
 
 
@@ -66,13 +102,34 @@ def _dense(n):
     return a
 
 
+@pytest.mark.parametrize("n", [100])
+def test_dense_inputs_are_swept_to_tol_without_a_newton_step(n):
+    # |lambda_2(S)| is small on dense inputs, so every pair cuts max|g| by
+    # more than SWEEP_MIN_RATE until tol is met. test_hard_cases pins n = 400.
+    a = _dense(n)
+    res = solve(a)
+    assert (res.method_used, res.iterations, res.converged) == ("newton", 0, True)
+    assert _pairs(res) >= 3 and res.trace[-1] <= 1e-12
+    assert (solver_module.SWEEP_MIN_RATE * res.trace[1:-1] <= res.trace[:-2]).all()
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-6])
+def test_near_bipartite_input_leaves_the_sweeps_within_two_pairs(eps):
+    # lambda_2(S) is near -1, where a pair multiplies the error by about
+    # (1 - lambda_2)/2 * |lambda_2|, close to 1: Newton takes over at once.
+    res = solve(_near_bipartite(200, eps))
+    assert res.converged and res.method_used == "newton"
+    assert 1 <= _pairs(res) <= 2 and res.iterations >= 3
+
+
 @pytest.mark.parametrize("j", [-400, -2, 3, 400])
 @pytest.mark.parametrize(
     "m", [random_positive_diagonal(np.random.default_rng(5), 5).entries, _dense(400)], ids=["n5", "n400"]
 )
 def test_power_of_four_scale_law_is_bitwise_with_the_refined_start(m, j):
     res = solve(m)
-    assert res.trace[0] < residual_inf(m, _raw_start(m))
+    assert _pairs(res) >= 1 and res.trace[0] == residual_inf(m, _raw_start(m))
     scaled = solve(Matrix(np.ldexp(m, 2 * j)))
     assert scaled.iterations == res.iterations
+    assert np.array_equal(scaled.trace, res.trace)
     assert np.array_equal(scaled.x.values, np.ldexp(res.x.values, -j))

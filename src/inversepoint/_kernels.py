@@ -44,32 +44,29 @@ def residual_inf(m, x) -> float:
     return float(np.abs(x * (m @ x) - 1.0).max())
 
 
-def quad_defect(m, x, out) -> np.ndarray:
-    """out_i = x_i * (Mx)_i - 1, the per-row defect of the quadratic system.
-    Returns the product Mx."""
+def quad_defect(m, x) -> tuple[np.ndarray, np.ndarray]:
+    """(x*(Mx) - 1, Mx): the per-row defect of the quadratic system and the
+    product behind it."""
     mx = m @ x
-    out[:] = x * mx - 1.0
-    return mx
+    return x * mx - 1.0, mx
 
 
-def newton_system(m, x, jac, g) -> None:
-    """Fill g with the quadratic defect and jac with its Jacobian
-    J_ij = x_i*m_ij + delta_ij*(Mx)_i."""
-    mx = m @ x
-    g[:] = x * mx - 1.0
+def newton_system(m, x, mx, jac) -> None:
+    """Fill jac with the Jacobian J_ij = x_i*m_ij + delta_ij*(Mx)_i of the
+    quadratic defect at x, given the product mx = Mx."""
     np.multiply(x[:, None], m, out=jac)
     jac.flat[:: m.shape[0] + 1] += mx
 
 
-def krylov_step(a, x, g, eta, maxit):
-    """GMRES for the log-space Newton step s of (I + diag(1/Ax) A diag(x)) s = -g.
+def krylov_step(a, x, ax, g, eta, maxit):
+    """GMRES for the log-space Newton step s of (I + diag(1/Ax) A diag(x)) s = -g,
+    given the product ax = Ax.
 
     Matrix-free, one product v -> v + (A(x*v))/(Ax) per iteration; classical
     Gram-Schmidt runs twice and Givens rotations track the residual norm.
     Returns s once that is at most eta * ||g||_2; None when maxit iterations
     do not get there or the Arnoldi process breaks down.
     """
-    ax = a @ x
     beta = float(np.sqrt(g @ g))
     v = np.empty((maxit + 1, x.size))
     v[0] = -g / beta

@@ -83,6 +83,15 @@ def _is_primitive(a) -> bool:
     return bool((lengths == 1).any() or np.gcd.reduce(lengths) == 1)
 
 
+def _complete_off_diagonal(a) -> bool:
+    """True when n >= 3 and every off-diagonal entry of the nonnegative a is
+    positive. Its digraph then has cycles of length 2 and 3, so a is primitive
+    whatever its diagonal holds. Two counts decide it, where _is_primitive
+    runs two BFS and an n^2 gcd input."""
+    n = a.shape[0]
+    return n >= 3 and int(np.count_nonzero(a)) - int(np.count_nonzero(np.diagonal(a))) == n * (n - 1)
+
+
 def has_positive_diagonal(M) -> bool:
     return bool((np.diagonal(as_matrix(M).entries) > 0).all())
 
@@ -148,7 +157,7 @@ def classify(M) -> Classification:
         nonnegative = lo >= 0
         positive_diagonal = has_positive_diagonal(mtx)
         has_zero_row = not a.any(axis=1).all()
-        primitive = nonnegative and _is_primitive(a)
+        primitive = nonnegative and (_complete_off_diagonal(a) or _is_primitive(a))
     condition, constant = _contraction_condition(a) if nonnegative else (False, None)
     return Classification(
         nonnegative=nonnegative,

@@ -1,5 +1,5 @@
 """Solvers for x_i * (Mx)_i = 1: log-space Newton, nested-box bracketing,
-contraction iteration, plain fixed-point iteration, and an auto mode.
+contraction iteration, and an auto mode.
 
 Auto runs Newton first, from 1/sqrt(rowsum(M)) refined by Richardson sweeps
 for as long as they contract fast; dense inputs need no Newton step after
@@ -7,17 +7,20 @@ them. If Newton fails and the diagonal is positive, the paper's nested boxes
 take over (the bracket, whose convergence the paper proves); otherwise
 Newton's own error is raised.
 solve_newton is the one Newton of the package: damped Newton in y = log x on M
-normalised by a power of four, so that x(4^j M) = x(M) / 2^j holds bitwise.
+itself, with no normalised copy. Every operation of its loop scales exactly
+under M -> 4^j M, x -> x / 2^j, so x(4^j M) = x(M) / 2^j holds bitwise until
+an intermediate leaves the normal range.
 
 Every public solver returns a SolveResult whose converged flag means
 residual <= config.tol at the returned point; a failure raises
 ConvergenceError (SingularJacobianError is one) carrying the best iterate as a
 non-converged result.
 
-The contraction, bracket and fixed-point solvers all iterate the update map
-F through one loop, _iterate; the bracket hands a stalled box to Newton. Each
-solve classifies the matrix once, validates it from that Classification and
-passes it down.
+The contraction and bracket solvers iterate the update map F through one
+loop, _iterate; the bracket hands a stalled box to Newton. Each solve
+classifies the matrix once, validates it from that Classification and passes
+it down. Every loop reads the residual of the point it returns, and the result
+takes it from there: SolveResult.residual is trace[-1].
 """
 
 from __future__ import annotations
@@ -37,17 +40,12 @@ from .errors import (
     ZeroRowError,
 )
 
-METHODS = ("auto", "bracket", "contraction", "newton", "fixed_point")
+METHODS = ("auto", "bracket", "contraction", "newton")
 
 # A round whose gap shrinks by less than this factor counts toward a stall;
 # ten in a row make the iteration give up.
 STALL_RATIO = 0.999
 STALL_ROUNDS = 10
-
-# Fixed-point iterates beyond this magnitude count as divergence: solutions
-# of sane systems are orders of magnitude smaller, and an iteration left to run
-# into overflow would end on inf or NaN instead of its best iterate.
-DIVERGENCE_LIMIT = 1e100
 
 # Newton halves a step at most this many times looking for a smaller log
 # defect.
@@ -66,8 +64,8 @@ NEWTON_MAX_STEP = 4.0
 # pools against 2, 3, 5 and 20, 10 was fastest on both workloads.
 SWEEP_MIN_RATE = 10.0
 
-# Auto's Newton pass hands over to the iterations after this many steps. A
-# step costs an LU solve or a GMRES run where an F round costs one product with
+# Auto's Newton pass hands over to the bracket after this many steps. A step
+# costs an LU solve or a GMRES run where a bracket round costs one product with
 # M, so max_iter is no bound for it; on the benchmark inputs and the hard cases
 # it needs at most eight.
 AUTO_NEWTON_MAX_STEPS = 100
@@ -114,24 +112,22 @@ class SolveResult:
 
 
 def _result(mtx, x, iterations, method, trace, converged, classification=None):
-    res = float(_kernels.residual_inf(mtx.entries, np.asarray(x, dtype=np.float64)))
+    """The SolveResult at x, whose residual the loop put last in trace."""
     return SolveResult(
         x=PositiveVector(x),
-        residual=res,
+        residual=float(trace[-1]),
         iterations=iterations,
         method_used=method,
         classification=classification if classification is not None else classify(mtx),
         converged=converged,
-        trace=np.asarray(trace, dtype=np.float64) if trace is not None else None,
+        trace=np.asarray(trace, dtype=np.float64),
     )
 
 
-def _convergence_error(
-    mtx, x, iterations, method, trace, classification=None, why="budget exhausted"
-):
+def _convergence_error(mtx, x, iterations, method, trace, classification=None):
     best = _result(mtx, x, iterations, method, trace, False, classification)
     return ConvergenceError(
-        f"{method}: residual {best.residual:.3e} after {iterations} iterations ({why})",
+        f"{method}: residual {best.residual:.3e} after {iterations} iterations (budget exhausted)",
         result=best,
     )
 
@@ -148,9 +144,7 @@ def solve(M, config: SolverConfig | None = None) -> SolveResult:
         return solve_contraction(mtx, config)
     cls = classify(mtx)
     validate_solvable(mtx, cls)
-    if config.method == "newton":
-        return solve_newton(mtx, None, config, _cls=cls)
-    return _fixed_point(mtx, cls, config)
+    return solve_newton(mtx, None, config, _cls=cls)
 
 
 def solve_auto(M, config: SolverConfig | None = None) -> SolveResult:
@@ -216,7 +210,7 @@ def solve_bracket(M, config: SolverConfig | None = None, *, bracket_log=None) ->
         raise ZeroRowError(
             i,
             f"bracketing starts at the zero vector, where row {i} (zero diagonal) "
-            f"has no positive root; use auto, fixed_point, or newton instead",
+            "has no positive root; use auto or newton instead",
         )
     return _bracket(mtx, cls, config, bracket_log)
 
@@ -225,9 +219,7 @@ def _bracket(mtx, cls, config, bracket_log=None) -> SolveResult:
     lower = np.zeros(mtx.n)
     upper = np.empty(mtx.n)
     _kernels.f_apply(mtx.entries, lower, upper)
-    mid, iterations, trace, reason, gap = _iterate(
-        mtx, config, upper, lower=lower, watch=True, bracket_log=bracket_log
-    )
+    mid, iterations, trace, reason, gap = _iterate(mtx, config, upper, lower=lower, bracket_log=bracket_log)
     if reason == "converged":
         return _result(mtx, mid, iterations, "bracket", trace, True, cls)
     if reason == "budget":
@@ -246,36 +238,21 @@ def _bracket(mtx, cls, config, bracket_log=None) -> SolveResult:
     return replace(fin, iterations=iterations + fin.iterations, trace=np.concatenate([trace, fin.trace]))
 
 
-def _fixed_point(mtx, cls, config) -> SolveResult:
-    """Plain iteration x <- F(x) from all-ones. Covers matrices with zero
-    diagonal entries, where neither bracketing nor the contraction certificate
-    applies; convergence is not guaranteed, so a stall, divergence or an
-    exhausted budget raises, naming which one."""
-    best, iterations, trace, reason, _ = _iterate(mtx, config, np.ones(mtx.n), watch=True)
-    if reason != "converged":
-        why = "budget exhausted" if reason == "budget" else reason
-        raise _convergence_error(mtx, best, iterations, "fixed_point", trace, cls, why)
-    return _result(mtx, best, iterations, "fixed_point", trace, True, cls)
-
-
-def _iterate(mtx, config, x, *, lower=None, watch=False, bracket_log=None):
+def _iterate(mtx, config, x, *, lower=None, bracket_log=None):
     """Iterate x <- F(x) until the residual is at most config.tol.
 
     With lower, (lower, x) is the first nested box: each new iterate replaces
     the corner on its own side (F is decreasing, so the iterates alternate
     around the fixed point) and the residual is read at the box midpoint.
-    Otherwise the residual is read at the latest iterate. bracket_log, when a
-    list, receives a BracketState per box.
-
-    With watch, the loop gives up when the gap between successive iterates
-    shrinks by less than STALL_RATIO for STALL_ROUNDS rounds in a row, or, in
-    a box, when the box is no wider than config.tol. Outside a box it also
-    gives up on divergence, and reports its best iterate. Without watch (the
-    contraction path, which has a certificate) it computes no gap at all.
+    The loop then gives up when the box is no wider than config.tol, or when
+    its width shrinks by less than STALL_RATIO for STALL_ROUNDS rounds in a
+    row. bracket_log, when a list, receives a BracketState per box. Without
+    lower (the contraction path, which has a certificate) the residual is read
+    at the latest iterate and no width is computed.
 
     Returns (point, iterations, trace, reason, gap): reason is "converged",
-    "stalled", "diverged" or "budget"; point is the last box midpoint, the
-    best iterate (watch) or the last iterate; gap is the last gap computed.
+    "stalled" or "budget"; point is the last box midpoint or the last
+    iterate, whose residual is trace[-1]; gap is the last box width.
     """
     m = mtx.entries
     n = mtx.n
@@ -289,12 +266,12 @@ def _iterate(mtx, config, x, *, lower=None, watch=False, bracket_log=None):
     else:
         r = float(_kernels.residual_inf(m, x))
         trace = [r]
-    point, best_res = x, r
+    point = x
     iterations = 0
     gap = prev_gap = np.inf
     stall = 0
     while r > config.tol:
-        if stall >= STALL_ROUNDS or (box and gap <= config.tol):
+        if stall >= STALL_ROUNDS or gap <= config.tol:
             return point, iterations, trace, "stalled", gap
         if iterations >= config.max_iter:
             return point, iterations, trace, "budget", gap
@@ -302,9 +279,7 @@ def _iterate(mtx, config, x, *, lower=None, watch=False, bracket_log=None):
         bad = _kernels.f_apply(m, x, nxt)
         if bad >= 0:
             raise ZeroRowError(int(bad))
-        if watch and not box and (not np.isfinite(nxt).all() or float(nxt.max()) > DIVERGENCE_LIMIT):
-            return point, iterations, trace, "diverged", gap
-        prev, x = x, nxt
+        x = nxt
         iterations += 1
         if box:
             if iterations % 2:
@@ -314,157 +289,149 @@ def _iterate(mtx, config, x, *, lower=None, watch=False, bracket_log=None):
             if bracket_log is not None:
                 bracket_log.append(BracketState(lower.copy(), upper.copy()))
             point = 0.5 * (lower + upper)
-            r = float(_kernels.residual_inf(m, point))
         else:
-            r = float(_kernels.residual_inf(m, x))
-            if not watch or r < best_res:
-                point, best_res = x, r
+            point = x
+        r = float(_kernels.residual_inf(m, point))
         trace.append(r)
-        if watch and r > config.tol:
-            gap = float((upper - lower).max()) if box else float(np.abs(x - prev).max())
+        if box and r > config.tol:
+            gap = float((upper - lower).max())
             stall = stall + 1 if prev_gap > 0.0 and gap / prev_gap > STALL_RATIO else 0
             prev_gap = gap
     return point, iterations, trace, "converged", gap
 
 
-def _normalise(m):
-    """(A, k) with A = M / 4^k, k = frexp(max M)[1] // 2, so that max A lies
-    in [0.5, 2); A is M itself when k = 0. Scaling by a power of two is exact
-    in floating point, so x(M) = x(A) / 2^k bitwise unless an entry of A
-    leaves the normal range."""
-    k = int(np.frexp(m.max())[1]) // 2
-    return (np.ldexp(m, -2 * k) if k else m), k
-
-
 def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -> SolveResult:
     """Damped Newton in log space, y = log x, from a positive start.
 
-    It solves G(y) = log(x_i*(Ax)_i) = 0 on the normalised A = M / 4^k of
-    _normalise and returns x(M) = x(A) / 2^k. An explicit x0 is used as given.
-    The default start r = 1/sqrt(rowsum(A)) (no sum overflows) is first swept
-    while its defect is above tol. A sweep pair is two Richardson steps
-    y <- y - w*G(y): w = 1 (x <- 1/(Ax), whose Ax is the one behind the
-    defect), then w = 1/2 (x <- sqrt(x/(Ax))). Near the solution a pair
-    multiplies the error by (I - S)/2 * (-S), S = diag(x) A diag(x)
+    It solves G(y) = log(x_i*(Mx)_i) = 0 on M itself, with x in M's own
+    scale. Every operation of its loop, products with M included, scales
+    exactly under M -> 4^j M, x -> x / 2^j, so x(4^j M) = x(M) / 2^j holds
+    bitwise unless an intermediate leaves the normal range. An explicit x0 is
+    used as given. The default start is r = 1/sqrt(rowsum(M)), formed as
+    2^-k / sqrt(rowsum(M) / 4^k) with max M / 4^k in [0.5, 2), and swept while
+    its defect is above tol. A sweep pair is two Richardson steps
+    y <- y - w*G(y): w = 1 (x <- 1/(Mx), whose Mx is the one behind the
+    defect), then w = 1/2 (x <- sqrt(x/(Mx))). Near the solution a pair
+    multiplies the error by (I - S)/2 * (-S), S = diag(x) M diag(x)
     stochastic: by (1 - lambda)/2 * |lambda| on an eigenvalue lambda of S, a
     tenth or less on dense inputs, where |lambda_2(S)| is small. A pair is
     kept only if it lowers max|g|, and another follows only if it cut max|g|
     by at least SWEEP_MIN_RATE, so where lambda_2 is near -1 (the factor near
     1) Newton takes over after a pair or two.
 
-    With g = log1p(x*(Ax) - 1) the step s solves
-    (I + diag(1/Ax) A diag(x)) s = -g: from n = KRYLOV_MIN_N on by matrix-free
+    With g = log1p(x*(Mx) - 1) the step s solves
+    (I + diag(1/Mx) M diag(x)) s = -g: from n = KRYLOV_MIN_N on by matrix-free
     GMRES to a relative residual of min(0.5, max|g|), or looser where tol
     needs no more; below that, or when GMRES gives up, by LAPACK on the
-    quadratic Jacobian. The trial x*exp(lam*s) is positive by construction;
-    lam starts where no entry of lam*s exceeds NEWTON_MAX_STEP, at most 1, and
-    is halved until max|g| decreases. Stops once max|x*(Ax) - 1| <= tol.
+    quadratic Jacobian. Both reuse the Mx of the accepted trial. The trial
+    x*exp(lam*s) is positive by construction; lam starts where no entry of
+    lam*s exceeds NEWTON_MAX_STEP, at most 1, and is halved until max|g|
+    decreases. Stops once the residual max|x*(Mx) - 1| is at most tol.
 
-    iterations counts Newton steps. trace holds max|x*(Ax) - 1| at the start,
+    iterations counts Newton steps. trace holds the residual at the start,
     then after each kept sweep pair, then after each Newton step, so the
-    result took len(trace) - 1 - iterations sweep pairs. A singular Jacobian
-    (an exactly zero pivot, or a step that is not finite) raises
-    SingularJacobianError; a residual on M above tol at the end raises
-    ConvergenceError. Both carry the last iterate as a non-converged result.
+    result took len(trace) - 1 - iterations sweep pairs, and its residual is
+    trace[-1]. A singular Jacobian (an exactly zero pivot, or a step that is
+    not finite) raises SingularJacobianError, a spent budget or a line search
+    that fails ConvergenceError; both carry the last iterate as a
+    non-converged result.
     """
     mtx = as_matrix(M)
     config = config or SolverConfig()
-    a, k = _normalise(mtx.entries)
+    m = mtx.entries
+    n = mtx.n
     sweep = x0 is None
     if sweep:
-        rows = a.sum(axis=1)
+        top = float(m.max())
+        k = int(np.frexp(top)[1]) // 2
+        # A row sum of M overflows only where max M is within a factor n of
+        # the largest double; there the scaled copy is summed instead.
+        if top > np.finfo(np.float64).max / n:
+            rows = np.ldexp(m, -2 * k).sum(axis=1)
+        else:
+            rows = np.ldexp(m.sum(axis=1), -2 * k)
         if not (rows > 0).all():
             raise ValidationError("the default start 1/sqrt(rowsum(M)) needs positive row sums")
-        x0 = np.ldexp(1.0 / np.sqrt(rows), -k)
-    x = np.ldexp(as_positive_vector(x0).values, k)
-    if x.shape[0] != mtx.n:
-        raise ValidationError(f"start point has length {x.shape[0]}, expected {mtx.n}")
-    n = mtx.n
-    d = np.empty(n)
-    dt = np.empty(n)
+        x = np.ldexp(1.0 / np.sqrt(rows), -k)  # finite and positive by construction
+    else:
+        x = as_positive_vector(x0).values
+        if x.shape[0] != n:
+            raise ValidationError(f"start point has length {x.shape[0]}, expected {n}")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        g, gn, ax = _log_defect(a, x, d)
+        d, g, gn, mx = _log_defect(m, x)
         dn = float(np.abs(d).max())
         trace = [dn]
         while sweep and dn > config.tol:
             # The product behind x's defect is the pair's first half-step.
-            xt = 1.0 / ax
-            xt = np.sqrt(xt / (a @ xt))
-            gt, gtn, axt = _log_defect(a, xt, dt)
+            xt = 1.0 / mx
+            xt = np.sqrt(xt / (m @ xt))
+            dt, gt, gtn, mxt = _log_defect(m, xt)
             if not gtn < gn:
                 break
             sweep = SWEEP_MIN_RATE * gtn <= gn
-            x, g, gn, ax, d, dt = xt, gt, gtn, axt, dt, d
+            x, d, g, gn, mx = xt, dt, gt, gtn, mxt
             dn = float(np.abs(d).max())
             trace.append(dn)
-    iterations = 0
-    if not np.isfinite(gn):
-        best = _result(mtx, np.ldexp(x, -k), 0, "newton", trace, False, _cls)
-        raise ConvergenceError(
-            "newton: the start point is too far off: the log defect log1p(x*(Mx) - 1) "
-            "is not finite there",
-            result=best,
-        )
-    jac = None
-    while dn > config.tol:
-        if iterations >= config.max_iter:
-            raise _convergence_error(mtx, np.ldexp(x, -k), iterations, "newton", trace, _cls)
-        s = None
-        if n >= KRYLOV_MIN_N:
-            # Relaxed where ||r||_2 <= tol/2 suffices; then max|g|^2 < tol/2.
-            eta = min(0.5, max(gn, 0.5 * config.tol / float(np.sqrt(g @ g))))
-            s = _kernels.krylov_step(a, x, g, eta, KRYLOV_MAX_ITER)
-        if s is None:
-            if jac is None:
-                jac = np.empty((n, n))
-            _kernels.newton_system(a, x, jac, d)
-            try:
-                s = np.linalg.solve(jac, -(1.0 + d) * g) / x
-            except np.linalg.LinAlgError:
-                pass
-        if s is None or not np.isfinite(s).all():
-            best = _result(mtx, np.ldexp(x, -k), iterations, "newton", trace, False, _cls)
-            raise SingularJacobianError(
-                f"newton: the Jacobian is singular at iteration {iterations}", result=best
+        iterations = 0
+        if not np.isfinite(gn):
+            raise ConvergenceError(
+                "newton: the start point is too far off: the log defect log1p(x*(Mx) - 1) "
+                "is not finite there",
+                result=_result(mtx, x, 0, "newton", trace, False, _cls),
             )
-        smax = float(np.abs(s).max())
-        lam = 1.0 if smax <= NEWTON_MAX_STEP else NEWTON_MAX_STEP / smax
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        jac = None
+        while dn > config.tol:
+            if iterations >= config.max_iter:
+                raise _convergence_error(mtx, x, iterations, "newton", trace, _cls)
+            s = None
+            if n >= KRYLOV_MIN_N:
+                # Relaxed where ||r||_2 <= tol/2 suffices; then max|g|^2 < tol/2.
+                eta = min(0.5, max(gn, 0.5 * config.tol / float(np.sqrt(g @ g))))
+                s = _kernels.krylov_step(m, x, mx, g, eta, KRYLOV_MAX_ITER)
+            if s is None:
+                if jac is None:
+                    jac = np.empty((n, n))
+                _kernels.newton_system(m, x, mx, jac)
+                try:
+                    s = np.linalg.solve(jac, -(1.0 + d) * g) / x
+                except np.linalg.LinAlgError:
+                    pass
+            # smax is inf or NaN unless a finite step was found.
+            smax = np.inf if s is None else float(np.abs(s).max())
+            if not smax < np.inf:
+                raise SingularJacobianError(
+                    f"newton: the Jacobian is singular at iteration {iterations}",
+                    result=_result(mtx, x, iterations, "newton", trace, False, _cls),
+                )
+            lam = 1.0 if smax <= NEWTON_MAX_STEP else NEWTON_MAX_STEP / smax
             for _ in range(NEWTON_MAX_HALVINGS + 1):
                 xt = x * np.exp(lam * s)
-                gt, gtn, _ = _log_defect(a, xt, dt)
+                dt, gt, gtn, mxt = _log_defect(m, xt)
                 if gtn < gn:
                     break
                 lam *= 0.5
-        if not gtn < gn:
-            best = _result(mtx, np.ldexp(x, -k), iterations, "newton", trace, False, _cls)
-            raise ConvergenceError(
-                f"newton: line search could not reduce the log defect below {gn:.3e} "
-                f"within {NEWTON_MAX_HALVINGS} halvings",
-                result=best,
-            )
-        x, g, gn, d, dt = xt, gt, gtn, dt, d
-        dn = float(np.abs(d).max())
-        iterations += 1
-        trace.append(dn)
-    res = _result(mtx, np.ldexp(x, -k), iterations, "newton", trace, True, _cls)
-    if res.residual > config.tol:
-        raise ConvergenceError(
-            f"newton: defect {dn:.3e} on the normalised matrix but residual "
-            f"{res.residual:.3e} on M",
-            result=replace(res, converged=False),
-        )
-    return res
+            if not gtn < gn:
+                raise ConvergenceError(
+                    f"newton: line search could not reduce the log defect below {gn:.3e} "
+                    f"within {NEWTON_MAX_HALVINGS} halvings",
+                    result=_result(mtx, x, iterations, "newton", trace, False, _cls),
+                )
+            x, d, g, gn, mx = xt, dt, gt, gtn, mxt
+            dn = float(np.abs(d).max())
+            iterations += 1
+            trace.append(dn)
+    return _result(mtx, x, iterations, "newton", trace, True, _cls)
 
 
-def _log_defect(a, x, d):
-    """Fill d with the quadratic defect x*(Ax) - 1 and return g = log1p(d),
-    max|g| and the product Ax. Callers ignore floating-point errors around it: a product
-    that overflowed or vanished gives an infinite or NaN norm, which no line
-    search accepts, instead of a warning."""
-    ax = _kernels.quad_defect(a, x, d)
+def _log_defect(m, x):
+    """(d, g, max|g|, Mx) at x: the quadratic defect d = x*(Mx) - 1, the log
+    defect g = log1p(d) and the product behind both. Callers ignore
+    floating-point errors around it: a product that overflowed or vanished
+    gives an infinite or NaN norm, which no line search accepts, instead of a
+    warning."""
+    d, mx = _kernels.quad_defect(m, x)
     g = np.log1p(d)
-    return g, float(np.abs(g).max()), ax
+    return d, g, float(np.abs(g).max()), mx
 
 
 def multistart_uniqueness(M, config: SolverConfig | None = None, starts: int = 20):

@@ -17,9 +17,8 @@ from inversepoint import (
     is_primitive,
     perron_vector,
 )
-from inversepoint.classify import _bfs_levels
+from inversepoint.classify import _bfs_levels, _complete_off_diagonal, _is_primitive
 from inversepoint.core import validate_solvable
-from inversepoint.solver import _normalise
 
 
 def test_is_primitive_examples(triangular, zero_diag):
@@ -294,7 +293,48 @@ def test_reductions_match_the_n_by_n_formulas_bitwise():
                 validate_solvable(m)
             assert str(err.value) == message
         outcomes.add(error)
-        k = int(np.frexp(np.max(a))[1]) // 2
-        scaled, got = _normalise(a)
-        assert got == k and scaled.tobytes() == (np.ldexp(a, -2 * k) if k else a).tobytes()
     assert outcomes == {None, NonNegativityError, ZeroRowError}
+
+
+def _patterns():
+    """The nonnegative patterns the tests above classify."""
+    yield from (a for a in _reduction_cases() if (a >= 0).all())
+    rng = np.random.default_rng(25)
+    for _ in range(400):
+        n = int(rng.integers(1, 9))
+        a = (rng.random((n, n)) < rng.uniform(0.1, 0.9)) * rng.uniform(0.1, 5.0, (n, n))
+        yield a
+        np.fill_diagonal(a, 0.0)
+        yield a
+    for n in (2, 3, 6, 12, 17, 400):
+        for k in range(min(n, 20)):
+            a = np.zeros((n, n))
+            a[np.arange(n), np.arange(n) - 1] = 1.0
+            a[0, k] = 1.0
+            yield a
+    for n in (1, 2, 3, 5, 64):
+        yield np.ones((n, n)) - np.eye(n)
+
+
+def test_complete_off_diagonal_shortcut_agrees_with_the_graph_test():
+    shortcuts = 0
+    for a in _patterns():
+        if _complete_off_diagonal(a):
+            shortcuts += 1
+            assert _is_primitive(a)
+        assert classify(Matrix(a)).primitive is _is_primitive(a)
+    assert shortcuts >= 5
+
+
+def test_complete_off_diagonal_shortcut_needs_n3_and_every_off_diagonal_entry():
+    # A 2x2 zero diagonal has period 2; n = 1 has no off-diagonal entry.
+    for a in ([[0.0, 1.0], [1.0, 0.0]], [[0.0]], [[1.0, 1.0], [1.0, 0.0]]):
+        assert not _complete_off_diagonal(np.array(a))
+    assert classify(Matrix([[0.0, 1.0], [1.0, 0.0]])).primitive is False
+    # One off-diagonal zero falls through to the BFS, which decides either way.
+    a = np.ones((3, 3)) - np.eye(3)
+    assert _complete_off_diagonal(a)
+    a[0, 1] = 0.0
+    assert not _complete_off_diagonal(a) and classify(Matrix(a)).primitive is True
+    b = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])  # bipartite path
+    assert not _complete_off_diagonal(b) and classify(Matrix(b)).primitive is False

@@ -66,9 +66,10 @@ def test_solve_contraction_precondition_exit_1(tmp_path, capsys):
 
 
 def test_solve_non_convergence_exit_2_emits_best(tmp_path, capsys):
-    path = write(tmp_path, "zerodiag.csv", ZERO_DIAG_CSV)
+    # The bracket needs 66 rounds here.
+    path = write(tmp_path, "counterexample.csv", COUNTEREXAMPLE_CSV)
     code, out, err = run_cli(
-        capsys, "solve", "--input", path, "--method", "fixed-point", "--max-iter", "3"
+        capsys, "solve", "--input", path, "--method", "bracket", "--max-iter", "3"
     )
     assert code == 2
     payload = json.loads(out)

@@ -65,8 +65,7 @@ def test_bracket_on_weak_diagonal_at_large_scale_is_right_or_fails():
 
 @pytest.mark.parametrize("n", [2, 3, 50])
 def test_entries_near_the_overflow_threshold(n):
-    # rowsum(M) overflows, so auto takes its start 1/sqrt(rowsum) on the
-    # normalised matrix.
+    # rowsum(M) overflows, so auto sums M / 4^k for its start 1/sqrt(rowsum).
     c = 1.7e308
     res = solve(np.full((n, n), c))
     assert res.converged and res.residual <= 1e-12
@@ -75,16 +74,16 @@ def test_entries_near_the_overflow_threshold(n):
 
 
 def test_entry_lost_to_the_normalisation_falls_back():
-    # Divided by about 1e300, the entry 1e-13 becomes subnormal and keeps only
-    # a few bits: Newton meets tol on the normalised matrix but not on M, and
-    # says so; auto then falls back to the bracket on M itself, whose first
-    # box midpoint is the solution.
+    # Divided by about 1e300, the entry 1e-13 would become subnormal and keep
+    # only a few bits. Newton runs on M itself, so no entry is lost and no
+    # fallback is needed: the start 1/sqrt(rowsum), whose second sum is scaled
+    # into the subnormal range, misses tol, and one sweep pair makes x exact.
     m = np.diag([1e300, 1e-13])
-    with pytest.raises(ConvergenceError, match="on the normalised matrix"):
-        solve(m, SolverConfig(method="newton"))
-    res = solve(m)
-    assert (res.method_used, res.iterations) == ("bracket", 1)
-    assert np.max(np.abs(res.x.values * np.sqrt(np.diag(m)) - 1.0)) <= 1e-15
+    for method in ("newton", "auto"):
+        res = solve(m, SolverConfig(method=method))
+        assert (res.method_used, res.iterations, len(res.trace), res.converged) == ("newton", 0, 2, True)
+        assert res.residual == res.trace[-1] <= 2.3e-16
+        assert np.array_equal(res.x.values, 1.0 / np.sqrt(np.diag(m)))
 
 
 def test_newton_from_all_ones_on_tiny_entries_fails_honestly():

@@ -142,3 +142,56 @@ def test_capped_steps_save_halvings_on_near_bipartite_inputs(monkeypatch, eps, s
     monkeypatch.setattr(_kernels, "quad_defect", counted)
     res = solve(_near_bipartite(200, eps))
     assert res.converged and (res.iterations, len(calls)) == (steps, defects)
+
+
+class _LoggedProducts(np.ndarray):
+    """A matrix that logs the vector of every product formed with it."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and inputs[0] is self:
+            self.vectors.append(np.array(inputs[1]))
+        inputs = [np.asarray(v) if isinstance(v, _LoggedProducts) else v for v in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.mark.parametrize("n", [60, 200])
+def test_each_product_with_m_is_formed_once(monkeypatch, n):
+    # Below KRYLOV_MIN_N every step is an LU solve, from it on a GMRES run.
+    # Each step reuses the product of its accepted trial, so a solve forms one
+    # product per defect evaluation plus one per GMRES iteration, and never
+    # two on the same vector.
+    a = _dense(n, 1)
+    mtx = Matrix(a)
+    logged = a.view(_LoggedProducts)
+    logged.vectors = []
+    object.__setattr__(mtx, "entries", logged)
+    defects, gmres, jacobians = [], [], []
+    quad_defect, krylov_step, newton_system = _kernels.quad_defect, _kernels.krylov_step, _kernels.newton_system
+
+    def counted_defect(m, x):
+        defects.append(None)
+        return quad_defect(m, x)
+
+    def counted_krylov(*args):
+        before = len(logged.vectors)
+        s = krylov_step(*args)
+        gmres.extend(logged.vectors[before:])
+        return s
+
+    def counted_system(*args):
+        before = len(logged.vectors)
+        newton_system(*args)
+        jacobians.append(len(logged.vectors) - before)
+
+    monkeypatch.setattr(_kernels, "quad_defect", counted_defect)
+    monkeypatch.setattr(_kernels, "krylov_step", counted_krylov)
+    monkeypatch.setattr(_kernels, "newton_system", counted_system)
+    res = solve_newton(mtx, 1.0 / np.sqrt(a.sum(axis=1)))
+    assert res.converged and res.iterations >= 2
+    if n < solver_module.KRYLOV_MIN_N:
+        assert not gmres and jacobians == [0] * res.iterations
+    else:
+        assert gmres and not jacobians
+    assert len(logged.vectors) == len(defects) + len(gmres)
+    distinct = {v.tobytes() for v in logged.vectors}
+    assert len(distinct) == len(logged.vectors)

@@ -242,31 +242,6 @@ def test_solve_auto_method_selection(triangular, zero_diag, counterexample):
     assert np.max(np.abs(res.x.values - INV_SQRT5)) <= 1e-10
 
 
-def test_solve_fixed_point_direct(zero_diag):
-    res = solve(zero_diag, SolverConfig(method="fixed_point"))
-    assert res.method_used == "fixed_point"
-    check_converged_invariants(zero_diag, res)
-
-
-def test_solve_fixed_point_budget_raises(zero_diag):
-    with pytest.raises(ConvergenceError, match=r"after 3 iterations \(budget exhausted\)"):
-        solve(zero_diag, SolverConfig(method="fixed_point", max_iter=3))
-
-
-@pytest.mark.parametrize(
-    "scale, iterations, reason", [(1.0, 11, "stalled"), (1e-300, 0, "diverged")]
-)
-def test_solve_fixed_point_error_names_its_reason(scale, iterations, reason):
-    # From all-ones the iterates of the zero-diagonal ones matrix swap between
-    # two points and the gap stops shrinking; at scale 1e-300 the first update
-    # is about 1e300, past DIVERGENCE_LIMIT, and is not accepted.
-    m = Matrix(scale * np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]))
-    message = rf"after {iterations} iterations \({reason}\)"
-    with pytest.raises(ConvergenceError, match=message) as err:
-        solve(m, SolverConfig(method="fixed_point"))
-    assert err.value.result.iterations == iterations and not err.value.result.converged
-
-
 def test_trace_is_monotone_enough_and_finite(triangular):
     res = solve(triangular)
     assert res.trace is not None
@@ -533,14 +508,18 @@ PINNED_PATHS = [
 ]
 
 
+def _pinned_input(recipe, seed):
+    rng = np.random.default_rng(seed)
+    return recipe(rng, int(rng.integers(2, 9)))
+
+
 @pytest.mark.parametrize(
     "recipe, seed, method, iterations, steps",
     PINNED_PATHS,
     ids=[f"{r.__name__}-{s}-{m}-{i}" for r, s, m, i, _ in PINNED_PATHS],
 )
 def test_auto_paths_are_pinned(monkeypatch, recipe, seed, method, iterations, steps):
-    rng = np.random.default_rng(seed)
-    m = recipe(rng, int(rng.integers(2, 9)))
+    m = _pinned_input(recipe, seed)
     res = solve(m)
     check_converged_invariants(m, res)
     assert (res.method_used, res.iterations) == ("newton", steps)
@@ -556,3 +535,23 @@ def test_auto_paths_are_pinned(monkeypatch, recipe, seed, method, iterations, st
     assert res.method_used == method
     if iterations is not None:
         assert res.iterations == iterations
+
+
+def test_converged_residual_is_the_last_trace_entry_bitwise():
+    # Every loop ends on the residual max|x*(Mx) - 1| of the point it returns,
+    # on M itself, and the result reads it from the trace: the same bits as a
+    # fresh evaluation on M.
+    from test_krylov import _near_bipartite  # test_krylov imports this module
+
+    small = [_pinned_input(recipe, seed) for recipe, seed, *_ in PINNED_PATHS]
+    runs = [(m, method) for m in [*small, Matrix(_near_bipartite(200, 1e-4))] for method in ("auto", "newton")]
+    runs += [(m, "bracket") for m in small if (np.diagonal(m.entries) > 0).all()]
+    runs.append((Matrix([[1e-4, 1.0], [1.0, 1e-4]]), "bracket"))  # stalls, hands off to Newton
+    used = set()
+    for m, method in runs:
+        res = solve(m, SolverConfig(method=method))
+        x = res.x.values
+        assert res.converged and res.residual == res.trace[-1]
+        assert res.residual == float(np.abs(x * (m.entries @ x) - 1.0).max())
+        used.add((method, res.method_used))
+    assert used == {("auto", "newton"), ("newton", "newton"), ("bracket", "bracket"), ("bracket", "newton")}

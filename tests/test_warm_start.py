@@ -1,5 +1,5 @@
 """The swept default start of solve_newton: Richardson sweep pairs from
-1/sqrt(rowsum(A)), each kept only where it lowers max|log defect|, repeated
+1/sqrt(rowsum(M)), each kept only where it lowers max|log defect|, repeated
 while the last one cut it by at least SWEEP_MIN_RATE. trace records the
 start, then each kept pair, then each Newton step."""
 
@@ -10,13 +10,15 @@ import inversepoint.solver as solver_module
 from helpers import random_positive_diagonal
 from inversepoint import Matrix, solve, solve_newton
 from inversepoint._kernels import residual_inf
-from inversepoint.solver import _normalise
 from test_krylov import _near_bipartite
 
 
 def _raw_start(m):
-    a, k = _normalise(np.asarray(m, dtype=np.float64))
-    return np.ldexp(1.0 / np.sqrt(a.sum(axis=1)), -k)
+    # 1/sqrt(rowsum(M)), with the sums scaled by the power of four that puts
+    # max M in [0.5, 2) before the square root.
+    m = np.asarray(m, dtype=np.float64)
+    k = int(np.frexp(m.max())[1]) // 2
+    return np.ldexp(1.0 / np.sqrt(np.ldexp(m.sum(axis=1), -2 * k)), -k)
 
 
 def _pairs(res):
@@ -34,10 +36,10 @@ def _with_defect_raised_at_call(monkeypatch, which):
     real = solver_module._log_defect
     calls = []
 
-    def raised(a, x, d):
-        g, gn, ax = real(a, x, d)
+    def raised(m, x):
+        d, g, gn, mx = real(m, x)
         calls.append(gn)
-        return g, (np.inf if len(calls) == which else gn), ax
+        return d, g, (np.inf if len(calls) == which else gn), mx
 
     monkeypatch.setattr(solver_module, "_log_defect", raised)
 

@@ -7,9 +7,10 @@ them. If Newton fails and the diagonal is positive, the paper's nested boxes
 take over (the bracket, whose convergence the paper proves); otherwise
 Newton's own error is raised.
 solve_newton is the one Newton of the package: damped Newton in y = log x on M
-itself, with no normalised copy. Every operation of its loop scales exactly
-under M -> 4^j M, x -> x / 2^j, so x(4^j M) = x(M) / 2^j holds bitwise until
-an intermediate leaves the normal range.
+itself, with no normalised copy. Its one loop runs the sweep pairs, then the
+Newton steps. Every operation of it, and of its start, scales exactly under
+M -> 4^j M, x -> x / 2^j, so x(4^j M) = x(M) / 2^j holds bitwise until an
+intermediate leaves the normal range.
 
 Every public solver returns a SolveResult whose converged flag means
 residual <= config.tol at the returned point; a failure raises
@@ -17,10 +18,11 @@ ConvergenceError (SingularJacobianError is one) carrying the best iterate as a
 non-converged result.
 
 The contraction and bracket solvers iterate the update map F through one
-loop, _iterate; the bracket hands a stalled box to Newton. Each solve
-classifies the matrix once, validates it from that Classification and passes
-it down. Every loop reads the residual of the point it returns, and the result
-takes it from there: SolveResult.residual is trace[-1].
+loop, _iterate; the bracket hands a stalled box to Newton. Every public solver
+opens with _prepare, which classifies the matrix once and validates it from
+that Classification; the solver passes it down. Every loop reads the residual
+of the point it returns, and the result takes it from there:
+SolveResult.residual is trace[-1].
 """
 
 from __future__ import annotations
@@ -111,21 +113,31 @@ class SolveResult:
     trace: np.ndarray | None = None
 
 
-def _result(mtx, x, iterations, method, trace, converged, classification=None):
+def _prepare(M, config):
+    """(M as a Matrix, config or the default, M's Classification): the
+    prologue of every solver. M is classified once and validated from that
+    classification, which the solver passes down."""
+    mtx = as_matrix(M)
+    cls = classify(mtx)
+    validate_solvable(mtx, cls)
+    return mtx, config or SolverConfig(), cls
+
+
+def _result(x, iterations, method, trace, converged, cls):
     """The SolveResult at x, whose residual the loop put last in trace."""
     return SolveResult(
         x=PositiveVector(x),
         residual=float(trace[-1]),
         iterations=iterations,
         method_used=method,
-        classification=classification if classification is not None else classify(mtx),
+        classification=cls,
         converged=converged,
         trace=np.asarray(trace, dtype=np.float64),
     )
 
 
-def _convergence_error(mtx, x, iterations, method, trace, classification=None):
-    best = _result(mtx, x, iterations, method, trace, False, classification)
+def _convergence_error(x, iterations, method, trace, cls):
+    best = _result(x, iterations, method, trace, False, cls)
     return ConvergenceError(
         f"{method}: residual {best.residual:.3e} after {iterations} iterations (budget exhausted)",
         result=best,
@@ -134,17 +146,14 @@ def _convergence_error(mtx, x, iterations, method, trace, classification=None):
 
 def solve(M, config: SolverConfig | None = None) -> SolveResult:
     """Dispatch on config.method. Newton starts where auto does."""
-    mtx = as_matrix(M)
     config = config or SolverConfig()
     if config.method == "auto":
-        return solve_auto(mtx, config)
+        return solve_auto(M, config)
     if config.method == "bracket":
-        return solve_bracket(mtx, config)
+        return solve_bracket(M, config)
     if config.method == "contraction":
-        return solve_contraction(mtx, config)
-    cls = classify(mtx)
-    validate_solvable(mtx, cls)
-    return solve_newton(mtx, None, config, _cls=cls)
+        return solve_contraction(M, config)
+    return solve_newton(M, None, config)
 
 
 def solve_auto(M, config: SolverConfig | None = None) -> SolveResult:
@@ -153,10 +162,7 @@ def solve_auto(M, config: SolverConfig | None = None) -> SolveResult:
     boxes take over, where the paper proves convergence; the result does not
     count the failed Newton steps. Otherwise Newton's error is raised, carrying
     its last iterate."""
-    mtx = as_matrix(M)
-    config = config or SolverConfig()
-    cls = classify(mtx)
-    validate_solvable(mtx, cls)
+    mtx, config, cls = _prepare(M, config)
     first = replace(config, max_iter=min(config.max_iter, AUTO_NEWTON_MAX_STEPS))
     try:
         return solve_newton(mtx, None, first, _cls=cls)
@@ -174,10 +180,7 @@ def solve_contraction(M, config: SolverConfig | None = None) -> SolveResult:
     point, not the residual; the residual is the authoritative stop so that
     converged always means residual <= tol.
     """
-    mtx = as_matrix(M)
-    config = config or SolverConfig()
-    cls = classify(mtx)
-    validate_solvable(mtx, cls)
+    mtx, config, cls = _prepare(M, config)
     if not cls.contraction_condition:
         raise ContractionPreconditionError(
             "2*m_ii > m_ij fails for some pair; the iteration has no contraction certificate"
@@ -186,8 +189,8 @@ def solve_contraction(M, config: SolverConfig | None = None) -> SolveResult:
     _kernels.f_apply(mtx.entries, np.zeros(mtx.n), x)  # cannot fail: diagonal is positive
     x, iterations, trace, reason, _ = _iterate(mtx, config, x)
     if reason != "converged":
-        raise _convergence_error(mtx, x, iterations, "contraction", trace, cls)
-    return _result(mtx, x, iterations, "contraction", trace, True, cls)
+        raise _convergence_error(x, iterations, "contraction", trace, cls)
+    return _result(x, iterations, "contraction", trace, True, cls)
 
 
 def solve_bracket(M, config: SolverConfig | None = None, *, bracket_log=None) -> SolveResult:
@@ -197,33 +200,31 @@ def solve_bracket(M, config: SolverConfig | None = None, *, bracket_log=None) ->
     odd iterates descend toward it, so Box(even, odd) is a shrinking bracket.
     Stops on the midpoint residual; if the gap stalls (shrinks by less than
     STALL_RATIO for STALL_ROUNDS consecutive corners) or bottoms out above
-    tol, a damped-Newton pass from the midpoint finishes the job.
+    tol, a damped-Newton pass from the midpoint finishes the job. A zero on
+    the diagonal raises ZeroRowError: F is undefined at the origin there.
 
     bracket_log, when a list, receives a BracketState per corner update.
     """
-    mtx = as_matrix(M)
-    config = config or SolverConfig()
-    cls = classify(mtx)
-    validate_solvable(mtx, cls)
-    if not cls.positive_diagonal:
-        i = int(np.nonzero(np.diagonal(mtx.entries) <= 0)[0][0])
-        raise ZeroRowError(
-            i,
-            f"bracketing starts at the zero vector, where row {i} (zero diagonal) "
-            "has no positive root; use auto or newton instead",
-        )
+    mtx, config, cls = _prepare(M, config)
     return _bracket(mtx, cls, config, bracket_log)
 
 
 def _bracket(mtx, cls, config, bracket_log=None) -> SolveResult:
     lower = np.zeros(mtx.n)
     upper = np.empty(mtx.n)
-    _kernels.f_apply(mtx.entries, lower, upper)
+    # At the origin F is undefined exactly on the rows with a zero diagonal.
+    i = _kernels.f_apply(mtx.entries, lower, upper)
+    if i >= 0:
+        raise ZeroRowError(
+            i,
+            f"bracketing starts at the zero vector, where row {i} (zero diagonal) "
+            "has no positive root; use auto or newton instead",
+        )
     mid, iterations, trace, reason, gap = _iterate(mtx, config, upper, lower=lower, bracket_log=bracket_log)
     if reason == "converged":
-        return _result(mtx, mid, iterations, "bracket", trace, True, cls)
+        return _result(mid, iterations, "bracket", trace, True, cls)
     if reason == "budget":
-        raise _convergence_error(mtx, mid, iterations, "bracket", trace, cls)
+        raise _convergence_error(mid, iterations, "bracket", trace, cls)
     # Stalled: a 2-cycle, a contraction rate near 1, or a box tighter than the
     # residual scale allows. Newton finishes from the midpoint with the
     # remaining budget; the result counts the iterations of both phases.
@@ -231,7 +232,7 @@ def _bracket(mtx, cls, config, bracket_log=None) -> SolveResult:
     try:
         fin = solve_newton(mtx, mid, rest, _cls=cls)
     except ConvergenceError as err:
-        best = _result(mtx, mid, iterations, "bracket", trace, False, cls)
+        best = _result(mid, iterations, "bracket", trace, False, cls)
         raise ConvergenceError(
             f"bracket stalled at gap {gap:.3e} and the Newton fallback failed: {err}", result=best
         ) from err
@@ -306,10 +307,12 @@ def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -
     It solves G(y) = log(x_i*(Mx)_i) = 0 on M itself, with x in M's own
     scale. Every operation of its loop, products with M included, scales
     exactly under M -> 4^j M, x -> x / 2^j, so x(4^j M) = x(M) / 2^j holds
-    bitwise unless an intermediate leaves the normal range. An explicit x0 is
-    used as given. The default start is r = 1/sqrt(rowsum(M)), formed as
-    2^-k / sqrt(rowsum(M) / 4^k) with max M / 4^k in [0.5, 2), and swept while
-    its defect is above tol. A sweep pair is two Richardson steps
+    bitwise unless an intermediate leaves the normal range. M is validated by
+    _prepare unless the caller passes its Classification as _cls. An explicit
+    x0 is used as given. The default start is r = 1/sqrt(rowsum(M)); a row
+    whose sum overflows is summed over M / 4^512 and its entry scaled back by
+    2^-512. One loop runs while the defect is above tol: sweep pairs from the
+    default start first, then Newton steps. A sweep pair is two Richardson steps
     y <- y - w*G(y): w = 1 (x <- 1/(Mx), whose Mx is the one behind the
     defect), then w = 1/2 (x <- sqrt(x/(Mx))). Near the solution a pair
     multiplies the error by (I - S)/2 * (-S), S = diag(x) M diag(x)
@@ -336,91 +339,84 @@ def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -
     that fails ConvergenceError; both carry the last iterate as a
     non-converged result.
     """
-    mtx = as_matrix(M)
-    config = config or SolverConfig()
-    m = mtx.entries
-    n = mtx.n
+    if _cls is None:
+        M, config, _cls = _prepare(M, config)
+    m = M.entries
+    n = M.n
     sweep = x0 is None
-    if sweep:
-        top = float(m.max())
-        k = int(np.frexp(top)[1]) // 2
-        # A row sum of M overflows only where max M is within a factor n of
-        # the largest double; there the scaled copy is summed instead.
-        if top > np.finfo(np.float64).max / n:
-            rows = np.ldexp(m, -2 * k).sum(axis=1)
-        else:
-            rows = np.ldexp(m.sum(axis=1), -2 * k)
-        if not (rows > 0).all():
-            raise ValidationError("the default start 1/sqrt(rowsum(M)) needs positive row sums")
-        x = np.ldexp(1.0 / np.sqrt(rows), -k)  # finite and positive by construction
-    else:
-        x = as_positive_vector(x0).values
-        if x.shape[0] != n:
-            raise ValidationError(f"start point has length {x.shape[0]}, expected {n}")
+    iterations = 0
+    jac = None
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if sweep:
+            # Positive row sums: M is validated. A row sum overflows only near
+            # the largest double; such a row is summed over M / 4^512 instead.
+            rows = m.sum(axis=1)
+            x = 1.0 / np.sqrt(rows)
+            big = np.isinf(rows)
+            if big.any():
+                x[big] = 2.0**-512 / np.sqrt((m[big] * 2.0**-1024).sum(axis=1))
+        else:
+            x = as_positive_vector(x0).values
+            if x.shape[0] != n:
+                raise ValidationError(f"start point has length {x.shape[0]}, expected {n}")
         d, g, gn, mx = _log_defect(m, x)
-        dn = float(np.abs(d).max())
-        trace = [dn]
-        while sweep and dn > config.tol:
-            # The product behind x's defect is the pair's first half-step.
-            xt = 1.0 / mx
-            xt = np.sqrt(xt / (m @ xt))
-            dt, gt, gtn, mxt = _log_defect(m, xt)
-            if not gtn < gn:
-                break
-            sweep = SWEEP_MIN_RATE * gtn <= gn
-            x, d, g, gn, mx = xt, dt, gt, gtn, mxt
-            dn = float(np.abs(d).max())
-            trace.append(dn)
-        iterations = 0
-        if not np.isfinite(gn):
-            raise ConvergenceError(
-                "newton: the start point is too far off: the log defect log1p(x*(Mx) - 1) "
-                "is not finite there",
-                result=_result(mtx, x, 0, "newton", trace, False, _cls),
-            )
-        jac = None
-        while dn > config.tol:
-            if iterations >= config.max_iter:
-                raise _convergence_error(mtx, x, iterations, "newton", trace, _cls)
-            s = None
-            if n >= KRYLOV_MIN_N:
-                # Relaxed where ||r||_2 <= tol/2 suffices; then max|g|^2 < tol/2.
-                eta = min(0.5, max(gn, 0.5 * config.tol / float(np.sqrt(g @ g))))
-                s = _kernels.krylov_step(m, x, mx, g, eta, KRYLOV_MAX_ITER)
-            if s is None:
-                if jac is None:
-                    jac = np.empty((n, n))
-                _kernels.newton_system(m, x, mx, jac)
-                try:
-                    s = np.linalg.solve(jac, -(1.0 + d) * g) / x
-                except np.linalg.LinAlgError:
-                    pass
-            # smax is inf or NaN unless a finite step was found.
-            smax = np.inf if s is None else float(np.abs(s).max())
-            if not smax < np.inf:
-                raise SingularJacobianError(
-                    f"newton: the Jacobian is singular at iteration {iterations}",
-                    result=_result(mtx, x, iterations, "newton", trace, False, _cls),
-                )
-            lam = 1.0 if smax <= NEWTON_MAX_STEP else NEWTON_MAX_STEP / smax
-            for _ in range(NEWTON_MAX_HALVINGS + 1):
-                xt = x * np.exp(lam * s)
+        trace = [float(np.abs(d).max())]
+        while trace[-1] > config.tol:
+            if sweep:
+                # The product behind x's defect is the pair's first half-step.
+                xt = 1.0 / mx
+                xt = np.sqrt(xt / (m @ xt))
                 dt, gt, gtn, mxt = _log_defect(m, xt)
-                if gtn < gn:
-                    break
-                lam *= 0.5
-            if not gtn < gn:
-                raise ConvergenceError(
-                    f"newton: line search could not reduce the log defect below {gn:.3e} "
-                    f"within {NEWTON_MAX_HALVINGS} halvings",
-                    result=_result(mtx, x, iterations, "newton", trace, False, _cls),
-                )
+                if not gtn < gn:
+                    sweep = False
+                    continue
+                sweep = SWEEP_MIN_RATE * gtn <= gn
+            else:
+                if not gn < np.inf:
+                    raise ConvergenceError(
+                        "newton: the start point is too far off: the log defect log1p(x*(Mx) - 1) "
+                        "is not finite there",
+                        result=_result(x, 0, "newton", trace, False, _cls),
+                    )
+                if iterations >= config.max_iter:
+                    raise _convergence_error(x, iterations, "newton", trace, _cls)
+                s = None
+                if n >= KRYLOV_MIN_N:
+                    # Relaxed where ||r||_2 <= tol/2 suffices; then max|g|^2 < tol/2.
+                    eta = min(0.5, max(gn, 0.5 * config.tol / float(np.sqrt(g @ g))))
+                    s = _kernels.krylov_step(m, x, mx, g, eta, KRYLOV_MAX_ITER)
+                if s is None:
+                    if jac is None:
+                        jac = np.empty((n, n))
+                    _kernels.newton_system(m, x, mx, jac)
+                    try:
+                        s = np.linalg.solve(jac, -(1.0 + d) * g) / x
+                    except np.linalg.LinAlgError:
+                        pass
+                # smax is inf or NaN unless a finite step was found.
+                smax = np.inf if s is None else float(np.abs(s).max())
+                if not smax < np.inf:
+                    raise SingularJacobianError(
+                        f"newton: the Jacobian is singular at iteration {iterations}",
+                        result=_result(x, iterations, "newton", trace, False, _cls),
+                    )
+                lam = 1.0 if smax <= NEWTON_MAX_STEP else NEWTON_MAX_STEP / smax
+                for _ in range(NEWTON_MAX_HALVINGS + 1):
+                    xt = x * np.exp(lam * s)
+                    dt, gt, gtn, mxt = _log_defect(m, xt)
+                    if gtn < gn:
+                        break
+                    lam *= 0.5
+                if not gtn < gn:
+                    raise ConvergenceError(
+                        f"newton: line search could not reduce the log defect below {gn:.3e} "
+                        f"within {NEWTON_MAX_HALVINGS} halvings",
+                        result=_result(x, iterations, "newton", trace, False, _cls),
+                    )
+                iterations += 1
             x, d, g, gn, mx = xt, dt, gt, gtn, mxt
-            dn = float(np.abs(d).max())
-            iterations += 1
-            trace.append(dn)
-    return _result(mtx, x, iterations, "newton", trace, True, _cls)
+            trace.append(float(np.abs(d).max()))
+    return _result(x, iterations, "newton", trace, True, _cls)
 
 
 def _log_defect(m, x):
@@ -438,10 +434,7 @@ def multistart_uniqueness(M, config: SolverConfig | None = None, starts: int = 2
     """Newton from seeded random starts (components log-uniform in
     [1e-2, 1e2]); returns (first result, max pairwise inf-distance among all
     solutions). Small distances are empirical evidence of uniqueness."""
-    mtx = as_matrix(M)
-    config = config or SolverConfig()
-    cls = classify(mtx)
-    validate_solvable(mtx, cls)
+    mtx, config, cls = _prepare(M, config)
     if starts < 1:
         raise ValidationError("starts must be at least 1")
     rng = np.random.default_rng(config.seed if config.seed is not None else 0)

@@ -1,4 +1,4 @@
-"""Random-matrix recipes shared by the property and acceptance tests."""
+"""Random-matrix recipes and the default Newton start, shared by the tests."""
 
 import numpy as np
 
@@ -48,3 +48,9 @@ def random_contraction(rng, n):
         d = np.diagonal(a)
         if (d > 0).all() and (a < 2.0 * d[:, None]).all():
             return Matrix(a)
+
+
+def default_start(m):
+    """1/sqrt(rowsum(M)), the default start of solve_newton wherever no row
+    sum of M overflows."""
+    return 1.0 / np.sqrt(np.asarray(m, dtype=np.float64).sum(axis=1))

@@ -50,6 +50,13 @@ def test_solve_triangular(tmp_path, capsys):
     assert err == ""
 
 
+def test_solve_row_sums_600_decades_apart_exit_0(tmp_path, capsys):
+    path = write(tmp_path, "spread.csv", "1e300,1e-30\n1e-30,1e-300\n")
+    code, out, err = run_cli(capsys, "solve", "--input", path)
+    assert (code, err) == (0, "")
+    assert '"converged":true' in out
+
+
 def test_solve_zero_row_exit_1_names_row(tmp_path, capsys):
     path = write(tmp_path, "zerorow.csv", "1,2\n0,0\n")
     code, out, err = run_cli(capsys, "solve", "--input", path)

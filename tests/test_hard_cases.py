@@ -6,7 +6,7 @@ four, or x = 1/sqrt(rowsum) for a symmetric M with constant row sums."""
 import numpy as np
 import pytest
 
-from helpers import random_contraction, random_positive_diagonal
+from helpers import default_start, random_contraction, random_positive_diagonal
 from inversepoint import ConvergenceError, Matrix, SolverConfig, solve, solve_newton
 from test_solver import check_converged_invariants
 
@@ -65,7 +65,8 @@ def test_bracket_on_weak_diagonal_at_large_scale_is_right_or_fails():
 
 @pytest.mark.parametrize("n", [2, 3, 50])
 def test_entries_near_the_overflow_threshold(n):
-    # rowsum(M) overflows, so auto sums M / 4^k for its start 1/sqrt(rowsum).
+    # Every row sum of M overflows, so the start 1/sqrt(rowsum) re-sums those
+    # rows over M / 4^512 and scales the result back by 2^-512.
     c = 1.7e308
     res = solve(np.full((n, n), c))
     assert res.converged and res.residual <= 1e-12
@@ -75,14 +76,31 @@ def test_entries_near_the_overflow_threshold(n):
 
 def test_entry_lost_to_the_normalisation_falls_back():
     # Divided by about 1e300, the entry 1e-13 would become subnormal and keep
-    # only a few bits. Newton runs on M itself, so no entry is lost and no
-    # fallback is needed: the start 1/sqrt(rowsum), whose second sum is scaled
-    # into the subnormal range, misses tol, and one sweep pair makes x exact.
+    # only a few bits. Newton runs on M itself and its start 1/sqrt(rowsum)
+    # scales no row sum, so no entry is lost, no fallback is needed, and the
+    # start, exact on a diagonal M, meets tol before any sweep pair.
     m = np.diag([1e300, 1e-13])
     for method in ("newton", "auto"):
         res = solve(m, SolverConfig(method=method))
-        assert (res.method_used, res.iterations, len(res.trace), res.converged) == ("newton", 0, 2, True)
+        assert (res.method_used, res.iterations, len(res.trace), res.converged) == ("newton", 0, 1, True)
         assert res.residual == res.trace[-1] <= 2.3e-16
+        assert np.array_equal(res.x.values, 1.0 / np.sqrt(np.diag(m)))
+
+
+@pytest.mark.parametrize("method", ["auto", "newton"])
+@pytest.mark.parametrize(
+    "m",
+    [np.diag([1e300, 1e-300]), np.diag([1e300, 5e-324]), np.array([[1e300, 1e-30], [1e-30, 1e-300]])],
+    ids=["diag1e-300", "diag5e-324", "coupled1e-300"],
+)
+def test_row_sums_600_decades_apart_converge(m, method):
+    # M is primitive with a positive diagonal, so the solution exists. A start
+    # that divided every row sum by max M would take the small one out of the
+    # double range; 1/sqrt(rowsum) is exact on the diagonal inputs.
+    res = solve(m, SolverConfig(method=method))
+    check_converged_invariants(Matrix(m), res)
+    assert res.method_used == "newton"
+    if m[0, 1] == 0.0:
         assert np.array_equal(res.x.values, 1.0 / np.sqrt(np.diag(m)))
 
 
@@ -128,7 +146,7 @@ def test_dense_n400_weak_diagonal():
     check_converged_invariants(Matrix(a), res)
     assert (res.method_used, res.iterations, len(res.trace)) == ("newton", 0, 7)
     assert np.array_equal(solve(4.0 * a).x.values, np.ldexp(res.x.values, -1))
-    steps = solve_newton(a, 1.0 / np.sqrt(a.sum(axis=1)))
+    steps = solve_newton(a, default_start(a))
     check_converged_invariants(Matrix(a), steps)
     assert steps.iterations == 3
     assert np.max(np.abs(steps.x.values / res.x.values - 1.0)) <= 1e-11

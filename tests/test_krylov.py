@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import inversepoint.solver as solver_module
+from helpers import default_start
 from inversepoint import Matrix, SingularJacobianError, solve, solve_newton
 from inversepoint import _kernels
 from test_solver import check_converged_invariants
@@ -41,7 +42,7 @@ def _lu_only(monkeypatch):
 
 
 def _unswept(a):
-    return solve_newton(a, 1.0 / np.sqrt(a.sum(axis=1)))
+    return solve_newton(a, default_start(a))
 
 
 def _counting_krylov_steps(monkeypatch):
@@ -99,7 +100,7 @@ def test_krylov_giving_up_is_bitwise_the_lapack_path(monkeypatch):
 
 def test_non_finite_krylov_step_raises_with_the_iterate(monkeypatch):
     a = _dense(solver_module.KRYLOV_MIN_N, 1)
-    start = 1.0 / np.sqrt(a.sum(axis=1))
+    start = default_start(a)
     monkeypatch.setattr(_kernels, "krylov_step", lambda a, x, *rest: np.full(x.size, np.inf))
     with pytest.raises(SingularJacobianError) as err:
         solve_newton(a, start)
@@ -186,7 +187,7 @@ def test_each_product_with_m_is_formed_once(monkeypatch, n):
     monkeypatch.setattr(_kernels, "quad_defect", counted_defect)
     monkeypatch.setattr(_kernels, "krylov_step", counted_krylov)
     monkeypatch.setattr(_kernels, "newton_system", counted_system)
-    res = solve_newton(mtx, 1.0 / np.sqrt(a.sum(axis=1)))
+    res = solve_newton(mtx, default_start(a))
     assert res.converged and res.iterations >= 2
     if n < solver_module.KRYLOV_MIN_N:
         assert not gmres and jacobians == [0] * res.iterations

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import TRIANGULAR_X, ZERO_DIAG_X
-from helpers import random_contraction, random_positive_diagonal, random_primitive_positive_diagonal
+from helpers import (
+    default_start,
+    random_contraction,
+    random_positive_diagonal,
+    random_primitive_positive_diagonal,
+)
 from inversepoint import (
     ContractionPreconditionError,
     ConvergenceError,
@@ -139,8 +144,9 @@ def test_solve_bracket_stall_falls_back_to_newton():
 
 
 def test_solve_bracket_zero_diagonal_rejected(zero_diag):
-    with pytest.raises(ZeroRowError):
+    with pytest.raises(ZeroRowError, match="use auto or newton instead") as err:
         solve_bracket(zero_diag)
+    assert err.value.row == 0
 
 
 def test_solve_bracket_budget_exhaustion_carries_best(curves_2d):
@@ -222,15 +228,16 @@ def test_solve_newton_default_start_is_autos_start(triangular):
     # refined by sweep pairs, which lower the start's defect here.
     res = solve_newton(triangular)
     assert np.array_equal(res.x.values, solve(triangular).x.values)
-    start = 1.0 / np.sqrt(triangular.entries.sum(axis=1))
-    raw = solve_newton(triangular, start)
+    raw = solve_newton(triangular, default_start(triangular.entries))
     pairs = len(res.trace) - 1 - res.iterations
     assert pairs >= 1 and res.trace[0] == raw.trace[0]
     assert res.trace[pairs] < raw.trace[0]
     assert np.max(np.abs(res.x.values / raw.x.values - 1.0)) <= 1e-13
-    # That start needs positive row sums; solve_newton does not validate M.
-    with pytest.raises(ValidationError, match="positive row sums"):
+    # solve_newton validates M as every solver does.
+    with pytest.raises(ZeroRowError):
         solve_newton(Matrix([[1.0, 2.0], [0.0, 0.0]]))
+    with pytest.raises(NonNegativityError):
+        solve_newton(Matrix([[1.0, -2.0], [1.0, 1.0]]))
 
 
 def test_solve_auto_method_selection(triangular, zero_diag, counterexample):

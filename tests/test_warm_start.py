@@ -7,18 +7,11 @@ import numpy as np
 import pytest
 
 import inversepoint.solver as solver_module
-from helpers import random_positive_diagonal
-from inversepoint import Matrix, solve, solve_newton
+from helpers import default_start, random_positive_diagonal
+from inversepoint import Matrix, SolverConfig, solve, solve_newton
 from inversepoint._kernels import residual_inf
+from test_hard_cases import _scale_law_inputs
 from test_krylov import _near_bipartite
-
-
-def _raw_start(m):
-    # 1/sqrt(rowsum(M)), with the sums scaled by the power of four that puts
-    # max M in [0.5, 2) before the square root.
-    m = np.asarray(m, dtype=np.float64)
-    k = int(np.frexp(m.max())[1]) // 2
-    return np.ldexp(1.0 / np.sqrt(np.ldexp(m.sum(axis=1), -2 * k)), -k)
 
 
 def _pairs(res):
@@ -27,7 +20,7 @@ def _pairs(res):
 
 def _one_pair(a):
     # The pair x <- 1/(Ax), then x <- sqrt(x/(Ax)), from the raw start.
-    x = 1.0 / (a @ _raw_start(a))
+    x = 1.0 / (a @ default_start(a))
     return np.sqrt(x / (a @ x))
 
 
@@ -48,7 +41,7 @@ def test_refined_point_is_dropped_when_it_does_not_lower_the_defect(monkeypatch,
     _with_defect_raised_at_call(monkeypatch, 2)
     res = solve_newton(triangular)
     monkeypatch.undo()
-    raw = solve_newton(triangular, _raw_start(triangular.entries))
+    raw = solve_newton(triangular, default_start(triangular.entries))
     assert _pairs(res) == 0
     assert np.array_equal(res.trace, raw.trace)
     assert res.x.values.tobytes() == raw.x.values.tobytes()
@@ -71,7 +64,7 @@ def test_a_later_pair_that_raises_the_defect_is_not_kept(monkeypatch):
 
 
 def test_explicit_start_is_never_refined(triangular):
-    x0 = _raw_start(triangular.entries)
+    x0 = default_start(triangular.entries)
     res = solve_newton(triangular, x0)
     assert res.trace[0] == residual_inf(triangular.entries, x0)
     assert _pairs(res) == 0
@@ -94,7 +87,7 @@ def test_exact_starts_take_no_step_and_stay_bitwise(m):
     # Constant row sums: 1/sqrt(rowsum) already meets tol, so no sweep runs.
     res = solve(m)
     assert (res.method_used, res.iterations, _pairs(res), res.converged) == ("newton", 0, 0, True)
-    assert res.x.values.tobytes() == _raw_start(m).tobytes()
+    assert res.x.values.tobytes() == default_start(m).tobytes()
 
 
 def _dense(n):
@@ -130,8 +123,38 @@ def test_near_bipartite_input_leaves_the_sweeps_within_two_pairs(eps):
 )
 def test_power_of_four_scale_law_is_bitwise_with_the_refined_start(m, j):
     res = solve(m)
-    assert _pairs(res) >= 1 and res.trace[0] == residual_inf(m, _raw_start(m))
+    assert _pairs(res) >= 1 and res.trace[0] == residual_inf(m, default_start(m))
     scaled = solve(Matrix(np.ldexp(m, 2 * j)))
     assert scaled.iterations == res.iterations
     assert np.array_equal(scaled.trace, res.trace)
     assert np.array_equal(scaled.x.values, np.ldexp(res.x.values, -j))
+
+
+def _start_by_powers_of_four(m):
+    # The start as formed before: 2^-k / sqrt(rowsum(M) / 4^k) with max M / 4^k
+    # in [0.5, 2), summing M / 4^k instead where a row sum could overflow.
+    top = float(m.max())
+    k = int(np.frexp(top)[1]) // 2
+    if top > np.finfo(np.float64).max / m.shape[0]:
+        rows = np.ldexp(m, -2 * k).sum(axis=1)
+    else:
+        rows = np.ldexp(m.sum(axis=1), -2 * k)
+    return np.ldexp(1.0 / np.sqrt(rows), -k)
+
+
+@pytest.mark.parametrize("j", [-400, 0, 400])
+def test_start_is_bitwise_the_power_of_four_start(j):
+    # With tol = inf, solve_newton returns its start unswept. Both starts round
+    # the same sum, square root and quotient, up to powers of two, so they
+    # agree wherever no intermediate leaves the normal range.
+    for mtx in _scale_law_inputs():
+        m = np.ldexp(mtx.entries, 2 * j)
+        start = solve_newton(m, None, SolverConfig(tol=np.inf)).x.values
+        assert start.tobytes() == _start_by_powers_of_four(m).tobytes() == default_start(m).tobytes()
+
+
+def test_start_of_an_overflowing_row_is_bitwise_the_power_of_four_start():
+    # Row 0 sums to inf; rows 1 and 2 do not.
+    m = np.array([[1.7e308, 1.7e308, 1e300], [1e300, 1e306, 1e300], [1e300, 1e300, 1.7e308]])
+    start = solve_newton(m, None, SolverConfig(tol=np.inf)).x.values
+    assert start.tobytes() == _start_by_powers_of_four(m).tobytes()

@@ -102,6 +102,7 @@ def contraction_condition(M) -> tuple[bool, float | None]:
     return _contraction_condition(_nonnegative_entries(M))
 
 
+@np.errstate(over="ignore")  # an overflowing quotient is >= 2: no contraction
 def _contraction_condition(a) -> tuple[bool, float | None]:
     """contraction_condition on a nonnegative ndarray, without the check."""
     diag = np.diagonal(a)

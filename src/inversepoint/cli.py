@@ -2,9 +2,10 @@
 
 Subcommands: solve (find the scaling vector), check (emit the matrix
 classification), curves (sample the per-row solution curves/surfaces for
-n = 2 or 3). Results go to stdout, diagnostics to stderr. Exit codes:
-0 success, 1 invalid input or violated precondition, 2 numerical
-non-convergence (the best iterate is still emitted).
+n = 2 or 3). Results go to stdout, diagnostics to stderr. Exit codes follow
+the two error families of errors.py: 0 success, 1 for a ValidationError
+(invalid input or violated precondition), 2 for a ConvergenceError (the
+numerics failed; the best iterate is still emitted when there is one).
 """
 
 from __future__ import annotations
@@ -13,30 +14,10 @@ import argparse
 import sys
 
 from .classify import classify
-from .errors import (
-    ContractionPreconditionError,
-    ConvergenceError,
-    DimensionError,
-    InversePointError,
-    NonNegativityError,
-    NotPrimitiveError,
-    ParseError,
-    ValidationError,
-    ZeroRowError,
-)
+from .errors import ConvergenceError, InversePointError, ValidationError, ZeroRowError
 from .fixedpoint import RowContext, f_value
 from .io import emit_classification, emit_result, parse_matrix
 from .solver import METHODS, SolverConfig, solve
-
-_INPUT_ERRORS = (
-    ParseError,
-    ValidationError,
-    DimensionError,
-    NonNegativityError,
-    ZeroRowError,
-    ContractionPreconditionError,
-    NotPrimitiveError,
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -151,10 +132,10 @@ def main(argv=None) -> int:
         if args.command == "check":
             return _run_check(args)
         return _run_curves(args)
-    except _INPUT_ERRORS as err:
+    except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except InversePointError as err:  # any other package error is numerical
+    except InversePointError as err:  # the ConvergenceError family
         print(f"error: {err}", file=sys.stderr)
         return 2
 

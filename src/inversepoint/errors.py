@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error but the base InversePointError is in exactly one of two families,
+which set the CLI's exit code: ValidationError, the input is at fault (exit
+1), and ConvergenceError, the input is valid but the numerics failed (exit 2).
+"""
 
 from __future__ import annotations
 
@@ -7,12 +12,9 @@ class InversePointError(Exception):
     """Base class for every error raised by this package."""
 
 
-class DimensionError(InversePointError):
-    """Operands have incompatible or non-square shapes."""
-
-
 class ValidationError(InversePointError):
-    """Input data violates a construction invariant (NaN, sign, shape).
+    """Input data violates a construction invariant (NaN, sign, shape) or a
+    precondition of the requested method.
 
     ``line`` and ``column`` are 1-based positions into the offending input
     when the error comes from a parser, else None.
@@ -24,20 +26,19 @@ class ValidationError(InversePointError):
         self.column = column
 
 
-class ParseError(InversePointError):
+class DimensionError(ValidationError):
+    """Operands have incompatible or non-square shapes."""
+
+
+class ParseError(ValidationError):
     """Input text is not well-formed CSV or JSON."""
 
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        super().__init__(message)
-        self.line = line
-        self.column = column
 
-
-class NonNegativityError(InversePointError):
+class NonNegativityError(ValidationError):
     """A negative entry appeared where a nonnegative matrix is required."""
 
 
-class ZeroRowError(InversePointError):
+class ZeroRowError(ValidationError):
     """Row equation x_i * (Mx)_i = 1 is unsatisfiable.
 
     Raised when m_ii = 0 and the off-diagonal contribution b_i is zero at the
@@ -55,11 +56,11 @@ class ZeroRowError(InversePointError):
         self.row = row
 
 
-class NotPrimitiveError(InversePointError):
+class NotPrimitiveError(ValidationError):
     """The matrix is not primitive (no power of it is entrywise positive)."""
 
 
-class ContractionPreconditionError(InversePointError):
+class ContractionPreconditionError(ValidationError):
     """2*m_ii > m_ij fails for some pair, so the contraction iteration is unsound."""
 
 
@@ -67,7 +68,7 @@ class ConvergenceError(InversePointError):
     """Iteration budget exhausted (or progress stopped) before reaching tol.
 
     ``result`` carries the best iterate found, as a SolveResult with
-    converged=False, when the failing solver had one.
+    converged=False, when the failing solver had one it can represent.
     """
 
     def __init__(self, message: str, result=None):
@@ -81,5 +82,5 @@ class SingularJacobianError(ConvergenceError):
     the Newton iterate where that happened."""
 
 
-class OracleDivergenceError(InversePointError):
+class OracleDivergenceError(ConvergenceError):
     """The brute-force oracle failed to reach its tolerance."""

@@ -15,7 +15,9 @@ intermediate leaves the normal range.
 Every public solver returns a SolveResult whose converged flag means
 residual <= config.tol at the returned point; a failure raises
 ConvergenceError (SingularJacobianError is one) carrying the best iterate as a
-non-converged result.
+non-converged result, or none where it has an entry outside the double
+range. Once its arguments and the method's precondition are checked, no
+solver raises a ValidationError.
 
 The contraction and bracket solvers iterate the update map F through one
 loop, _iterate; the bracket hands a stalled box to Newton. Every public solver
@@ -86,7 +88,7 @@ class SolverConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:  # NaN too: every residual would count as converged
             raise ValidationError("tol must be positive")
         if self.max_iter < 1:
             raise ValidationError("max_iter must be at least 1")
@@ -124,9 +126,17 @@ def _prepare(M, config):
 
 
 def _result(x, iterations, method, trace, converged, cls):
-    """The SolveResult at x, whose residual the loop put last in trace."""
+    """The SolveResult at x, whose residual the loop put last in trace. An x
+    with an entry outside the double range raises ConvergenceError instead."""
+    try:
+        x = PositiveVector(x)
+    except ValidationError:
+        raise ConvergenceError(
+            f"{method}: x has an entry outside the double range after {iterations} iterations "
+            f"(min {np.min(x):.3e}, max {np.max(x):.3e})"
+        ) from None
     return SolveResult(
-        x=PositiveVector(x),
+        x=x,
         residual=float(trace[-1]),
         iterations=iterations,
         method_used=method,
@@ -199,9 +209,9 @@ def solve_bracket(M, config: SolverConfig | None = None, *, bracket_log=None) ->
     Because F is decreasing, even iterates climb toward the fixed point and
     odd iterates descend toward it, so Box(even, odd) is a shrinking bracket.
     Stops on the midpoint residual; if the gap stalls (shrinks by less than
-    STALL_RATIO for STALL_ROUNDS consecutive corners) or bottoms out above
-    tol, a damped-Newton pass from the midpoint finishes the job. A zero on
-    the diagonal raises ZeroRowError: F is undefined at the origin there.
+    STALL_RATIO for STALL_ROUNDS consecutive corners), a damped-Newton pass
+    from the midpoint finishes the job. A zero on the diagonal raises
+    ZeroRowError: F is undefined at the origin there.
 
     bracket_log, when a list, receives a BracketState per corner update.
     """
@@ -228,32 +238,35 @@ def _bracket(mtx, cls, config, bracket_log=None) -> SolveResult:
     # Stalled: a 2-cycle, a contraction rate near 1, or a box tighter than the
     # residual scale allows. Newton finishes from the midpoint with the
     # remaining budget; the result counts the iterations of both phases.
+    best = _result(mid, iterations, "bracket", trace, False, cls)
     rest = replace(config, max_iter=max(1, config.max_iter - iterations))
     try:
-        fin = solve_newton(mtx, mid, rest, _cls=cls)
+        fin = solve_newton(mtx, best.x, rest, _cls=cls)
     except ConvergenceError as err:
-        best = _result(mid, iterations, "bracket", trace, False, cls)
         raise ConvergenceError(
             f"bracket stalled at gap {gap:.3e} and the Newton fallback failed: {err}", result=best
         ) from err
     return replace(fin, iterations=iterations + fin.iterations, trace=np.concatenate([trace, fin.trace]))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an inf or NaN residual never converges
 def _iterate(mtx, config, x, *, lower=None, bracket_log=None):
     """Iterate x <- F(x) until the residual is at most config.tol.
 
     With lower, (lower, x) is the first nested box: each new iterate replaces
     the corner on its own side (F is decreasing, so the iterates alternate
     around the fixed point) and the residual is read at the box midpoint.
-    The loop then gives up when the box is no wider than config.tol, or when
-    its width shrinks by less than STALL_RATIO for STALL_ROUNDS rounds in a
-    row. bracket_log, when a list, receives a BracketState per box. Without
-    lower (the contraction path, which has a certificate) the residual is read
-    at the latest iterate and no width is computed.
+    The loop then gives up when the box width fails to shrink below
+    STALL_RATIO times the last one for STALL_ROUNDS rounds in a row (a box
+    collapsed to a point included); it never compares a width with tol, so it
+    obeys the scale law. bracket_log, when a list, receives a BracketState
+    per box. Without lower (the contraction path, which has a certificate)
+    the residual is read at the latest iterate and no width is computed.
 
-    Returns (point, iterations, trace, reason, gap): reason is "converged",
-    "stalled" or "budget"; point is the last box midpoint or the last
-    iterate, whose residual is trace[-1]; gap is the last box width.
+    Returns (point, iterations, trace, reason, gap): reason is "converged"
+    (only if trace[-1] <= tol: a NaN residual never counts), "stalled" or
+    "budget"; point is the last box midpoint or the last iterate, whose
+    residual is trace[-1]; gap is the last box width.
     """
     m = mtx.entries
     n = mtx.n
@@ -269,17 +282,15 @@ def _iterate(mtx, config, x, *, lower=None, bracket_log=None):
         trace = [r]
     point = x
     iterations = 0
-    gap = prev_gap = np.inf
+    gap = np.inf
     stall = 0
-    while r > config.tol:
-        if stall >= STALL_ROUNDS or gap <= config.tol:
+    while not r <= config.tol:
+        if stall >= STALL_ROUNDS:
             return point, iterations, trace, "stalled", gap
         if iterations >= config.max_iter:
             return point, iterations, trace, "budget", gap
         nxt = np.empty(n)
-        bad = _kernels.f_apply(m, x, nxt)
-        if bad >= 0:
-            raise ZeroRowError(int(bad))
+        _kernels.f_apply(m, x, nxt)  # defined everywhere: the diagonal is positive
         x = nxt
         iterations += 1
         if box:
@@ -290,14 +301,13 @@ def _iterate(mtx, config, x, *, lower=None, bracket_log=None):
             if bracket_log is not None:
                 bracket_log.append(BracketState(lower.copy(), upper.copy()))
             point = 0.5 * (lower + upper)
+            width = float((upper - lower).max())
+            stall = stall + 1 if width >= STALL_RATIO * gap else 0
+            gap = width
         else:
             point = x
         r = float(_kernels.residual_inf(m, point))
         trace.append(r)
-        if box and r > config.tol:
-            gap = float((upper - lower).max())
-            stall = stall + 1 if prev_gap > 0.0 and gap / prev_gap > STALL_RATIO else 0
-            prev_gap = gap
     return point, iterations, trace, "converged", gap
 
 

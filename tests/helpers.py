@@ -54,3 +54,20 @@ def default_start(m):
     """1/sqrt(rowsum(M)), the default start of solve_newton wherever no row
     sum of M overflows."""
     return 1.0 / np.sqrt(np.asarray(m, dtype=np.float64).sum(axis=1))
+
+
+# Draws of wide_range_draws() whose solution lies outside the double range: a
+# 60-digit solve puts draw 25 at x ~ (1.37e95, 1.6e-344).
+OUT_OF_RANGE_DRAWS = (19, 25, 28, 40, 43, 46, 48, 67, 69, 92)
+
+
+def wide_range_draws(count=100):
+    """Seeded n in [2, 6] matrices with entries U(0, 1) * 10^U(-300, 300).
+    Every entry is positive, so each matrix is primitive with a positive
+    diagonal and has a unique positive solution."""
+    rng = np.random.default_rng(0)
+    out = []
+    for _ in range(count):
+        n = rng.integers(2, 7)
+        out.append(rng.uniform(0, 1, (n, n)) * 10.0 ** rng.uniform(-300, 300, (n, n)))
+    return out

@@ -10,6 +10,7 @@ from inversepoint import (
     Matrix,
     NonNegativityError,
     NotPrimitiveError,
+    ValidationError,
     ZeroRowError,
     classify,
     contraction_condition,
@@ -163,6 +164,11 @@ def test_perron_vector_zero_diag_example(zero_diag):
     assert defect <= 1e-13
     assert np.max(v.values) == 1.0
     assert (v.values > 0).all()
+
+
+def test_perron_vector_rejects_a_nonpositive_tol():
+    with pytest.raises(ValidationError, match="tol must be positive"):
+        perron_vector(Matrix([[2.0]]), tol=0.0)
 
 
 def test_perron_vector_budget_error_carries_best():

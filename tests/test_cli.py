@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from conftest import TRIANGULAR_X, ZERO_DIAG_X
+from helpers import wide_range_draws
 import inversepoint
-from inversepoint import solve
+from inversepoint import ConvergenceError, InversePointError, ValidationError, ZeroRowError, solve
 from inversepoint.cli import main
 from inversepoint.solver import METHODS
 
@@ -17,6 +18,13 @@ TRIANGULAR_CSV = "1,0,0\n1,1,0\n1,1,1\n"
 ZERO_DIAG_CSV = "0,0,1\n1,0,0\n0,1,1\n"
 COUNTEREXAMPLE_CSV = "1,2,2\n2,1,2\n2,2,1\n"
 CURVES_2D_CSV = "1,3\n5,2\n"
+
+# Every error class the package exports, its base excepted.
+EXPORTED_ERRORS = [
+    cls
+    for cls in (getattr(inversepoint, name) for name in inversepoint.__all__)
+    if isinstance(cls, type) and issubclass(cls, InversePointError) and cls is not InversePointError
+]
 
 
 def write(tmp_path, name, text):
@@ -83,6 +91,57 @@ def test_solve_non_convergence_exit_2_emits_best(tmp_path, capsys):
     assert payload["converged"] is False
     assert len(payload["x"]) == 3
     assert "error" in err
+
+
+def test_solve_contraction_budget_exit_2_emits_best(tmp_path, capsys):
+    path = write(tmp_path, "triangular.csv", TRIANGULAR_CSV)
+    code, out, err = run_cli(
+        capsys, "solve", "--input", path, "--method", "contraction", "--max-iter", "1"
+    )
+    assert code == 2
+    payload = json.loads(out)
+    assert (payload["method"], payload["iterations"], payload["converged"]) == ("contraction", 1, False)
+    assert "budget exhausted" in err
+
+
+def test_solve_solution_outside_the_double_range_exit_2(tmp_path, capsys):
+    # The input is valid (every entry positive), but x ~ (1.37e95, 1.6e-344)
+    # has no double representation: a numerical failure with nothing to emit.
+    m = wide_range_draws()[25]
+    text = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in m)
+    code, out, err = run_cli(capsys, "solve", "--input", write(tmp_path, "wide.csv", text))
+    assert (code, out) == (2, "")
+    assert "outside the double range" in err
+
+
+def test_every_exported_error_is_in_exactly_one_family():
+    input_faults = {cls.__name__ for cls in EXPORTED_ERRORS if issubclass(cls, ValidationError)}
+    numerical = {cls.__name__ for cls in EXPORTED_ERRORS if issubclass(cls, ConvergenceError)}
+    assert input_faults == {
+        "ContractionPreconditionError",
+        "DimensionError",
+        "NonNegativityError",
+        "NotPrimitiveError",
+        "ParseError",
+        "ValidationError",
+        "ZeroRowError",
+    }
+    assert numerical == {"ConvergenceError", "OracleDivergenceError", "SingularJacobianError"}
+    assert len(EXPORTED_ERRORS) == len(input_faults) + len(numerical)
+
+
+@pytest.mark.parametrize("cls", EXPORTED_ERRORS, ids=lambda cls: cls.__name__)
+def test_exit_code_follows_the_error_family(tmp_path, capsys, monkeypatch, cls):
+    error = cls(0) if cls is ZeroRowError else cls("raised by the stub")
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("inversepoint.cli.solve", fail)
+    code, out, err = run_cli(capsys, "solve", "--input", write(tmp_path, "tri.csv", TRIANGULAR_CSV))
+    assert code == (1 if issubclass(cls, ValidationError) else 2)
+    assert out == ""
+    assert err == f"error: {error}\n"
 
 
 def test_solve_singular_jacobian_exit_2_emits_best(tmp_path, capsys):

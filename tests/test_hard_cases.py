@@ -6,7 +6,13 @@ four, or x = 1/sqrt(rowsum) for a symmetric M with constant row sums."""
 import numpy as np
 import pytest
 
-from helpers import default_start, random_contraction, random_positive_diagonal
+from helpers import (
+    OUT_OF_RANGE_DRAWS,
+    default_start,
+    random_contraction,
+    random_positive_diagonal,
+    wide_range_draws,
+)
 from inversepoint import ConvergenceError, Matrix, SolverConfig, solve, solve_newton
 from test_solver import check_converged_invariants
 
@@ -50,7 +56,7 @@ def test_weak_diagonal_at_large_scale():
 @pytest.mark.xfail(
     strict=True,
     reason="the bracket stalls and its Newton hand-off reports converged at "
-    "x ~ (3.0e-5, 3.3e-4), 3.3x off: every (t, 1e-8/t) near the solution meets "
+    "x ~ (2.03e-4, 4.93e-5), 2x off: every (t, 1e-8/t) near the solution meets "
     "tol in double precision, and nothing yet measures the conditioning that "
     "would flag it",
 )
@@ -132,6 +138,44 @@ def test_power_of_four_scale_law_is_bitwise(j):
         x = solve(m).x.values
         scaled = solve(Matrix(np.ldexp(m.entries, 2 * j)))
         assert np.array_equal(scaled.x.values, np.ldexp(x, -j))
+
+
+@pytest.mark.parametrize("j", [-20, 20])
+def test_bracket_power_of_four_scale_law_is_bitwise(j):
+    # The bracket compares box widths only with each other, never with tol,
+    # so scaling M by 4^j scales every iterate by 2^-j and changes no decision.
+    for m in _scale_law_inputs():
+        if not (np.diagonal(m.entries) > 0).all():
+            continue
+        config = SolverConfig(method="bracket")
+        res = solve(m, config)
+        scaled = solve(Matrix(np.ldexp(m.entries, 2 * j)), config)
+        assert np.array_equal(scaled.x.values, np.ldexp(res.x.values, -j))
+        assert (scaled.iterations, scaled.method_used) == (res.iterations, res.method_used)
+        assert np.array_equal(scaled.trace, res.trace)
+
+
+@pytest.mark.parametrize("method", ["auto", "bracket", "newton"])
+def test_wide_range_draws_fail_only_numerically(method):
+    # Every draw is valid input, so a failure must be a ConvergenceError; a
+    # ValidationError here would blame the input for a numerical failure.
+    for m in wide_range_draws():
+        try:
+            res = solve(m, SolverConfig(method=method))
+        except ConvergenceError:
+            continue
+        check_converged_invariants(Matrix(m), res)
+
+
+def test_solution_outside_the_double_range_raises_convergence_error():
+    # The bracket's box midpoint underflows to 0 in an entry whose solution
+    # lies below the double range. No PositiveVector can hold it, so the
+    # error carries no result.
+    draws = wide_range_draws()
+    for k in OUT_OF_RANGE_DRAWS:
+        with pytest.raises(ConvergenceError, match="outside the double range") as err:
+            solve(draws[k])
+        assert err.value.result is None
 
 
 def test_dense_n400_weak_diagonal():

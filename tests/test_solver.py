@@ -9,7 +9,9 @@ from helpers import (
     random_contraction,
     random_positive_diagonal,
     random_primitive_positive_diagonal,
+    wide_range_draws,
 )
+import inversepoint
 from inversepoint import (
     ContractionPreconditionError,
     ConvergenceError,
@@ -29,6 +31,7 @@ from inversepoint import (
     solve_contraction,
     solve_newton,
 )
+from inversepoint.solver import STALL_ROUNDS
 
 INV_SQRT5 = 5.0 ** -0.5
 
@@ -46,6 +49,8 @@ def check_converged_invariants(m, res, tol=1e-12):
 def test_solverconfig_validation():
     with pytest.raises(ValidationError):
         SolverConfig(tol=0.0)
+    with pytest.raises(ValidationError, match="tol must be positive"):
+        SolverConfig(tol=float("nan"))
     with pytest.raises(ValidationError):
         SolverConfig(max_iter=0)
     with pytest.raises(ValidationError):
@@ -143,6 +148,15 @@ def test_solve_bracket_stall_falls_back_to_newton():
     assert np.max(np.abs(res.x.values - t)) <= 1e-10
 
 
+def test_solve_bracket_box_collapsed_to_a_point_stalls():
+    # A tol below rounding is out of reach: F(x) == x closes the box to one
+    # point after a round, and STALL_ROUNDS rounds later the stall rule hands
+    # off to Newton, which cannot meet tol either.
+    with pytest.raises(ConvergenceError, match=r"bracket stalled at gap 0\.000e\+00") as err:
+        solve_bracket(Matrix([[2.0]]), SolverConfig(tol=1e-20))
+    assert err.value.result.iterations == 1 + STALL_ROUNDS
+
+
 def test_solve_bracket_zero_diagonal_rejected(zero_diag):
     with pytest.raises(ZeroRowError, match="use auto or newton instead") as err:
         solve_bracket(zero_diag)
@@ -169,6 +183,24 @@ def test_solve_contraction_triangular_iteration_bound(triangular):
     assert np.max(np.abs(res.x.values - TRIANGULAR_X)) <= 1e-10
     limit = int(np.ceil(np.log(1e-12) / np.log(0.5))) + 2
     assert res.iterations <= limit
+
+
+def test_solve_contraction_budget_error_carries_best(triangular):
+    with pytest.raises(ConvergenceError, match="budget exhausted") as err:
+        solve_contraction(triangular, SolverConfig(max_iter=1))
+    best = err.value.result
+    assert (best.method_used, best.iterations, best.converged) == ("contraction", 1, False)
+    assert best.residual == best.trace[-1] > 1e-12
+
+
+def test_a_nan_residual_never_counts_as_converged(triangular, monkeypatch):
+    # NaN compares false with everything, so "r > tol" would read it as done.
+    monkeypatch.setattr(inversepoint._kernels, "residual_inf", lambda m, x: float("nan"))
+    res = solve_bracket(triangular)
+    assert (res.method_used, res.converged) == ("newton", True)
+    assert res.residual <= 1e-12
+    with pytest.raises(ConvergenceError, match="budget exhausted"):
+        solve_contraction(triangular, SolverConfig(max_iter=50))
 
 
 def test_solve_contraction_rejects_counterexample(counterexample):
@@ -223,6 +255,23 @@ def test_solve_newton_budget_error_carries_best(curves_2d):
     assert best.iterations == 1
 
 
+def test_solve_newton_rejects_a_start_of_the_wrong_length(triangular):
+    with pytest.raises(ValidationError, match="start point has length 2, expected 3"):
+        solve_newton(triangular, [1.0, 1.0])
+
+
+def test_bracket_fallback_whose_newton_pass_fails_carries_the_midpoint():
+    # Entries spread over 600 decades: auto's Newton pass fails, the bracket
+    # stalls, and Newton from the box midpoint cannot lower the log defect.
+    with pytest.raises(ConvergenceError, match="Newton fallback failed") as err:
+        solve(wide_range_draws()[0])
+    cause = err.value.__cause__
+    assert type(cause) is ConvergenceError and "line search" in str(cause)
+    best = err.value.result
+    assert (best.method_used, best.converged) == ("bracket", False)
+    assert best.residual == best.trace[-1]
+
+
 def test_solve_newton_default_start_is_autos_start(triangular):
     # Without x0, solve_newton starts where auto does: from 1/sqrt(rowsum(M))
     # refined by sweep pairs, which lower the start's defect here.
@@ -272,6 +321,11 @@ def test_multistart_triangular_unique_despite_non_primitivity(triangular):
     first, dist = multistart_uniqueness(triangular, starts=20)
     assert dist <= 1e-8
     assert np.max(np.abs(first.x.values - TRIANGULAR_X)) <= 1e-8
+
+
+def test_multistart_rejects_no_starts(triangular):
+    with pytest.raises(ValidationError, match="starts must be at least 1"):
+        multistart_uniqueness(triangular, starts=0)
 
 
 def test_multistart_seed_controls_starts(zero_diag):

@@ -13,16 +13,32 @@ from .errors import DimensionError, NonNegativityError, ValidationError, ZeroRow
 
 
 class Matrix:
-    """Immutable dense square matrix of 64-bit floats.
+    """Immutable dense square matrix of 64-bit floats, stored in C order.
 
     Entries must be finite. Negative entries are representable (classification
     reports nonnegativity and the solvers reject it); NaN and infinity are not.
+    The entries are a copy, so later writes to the argument do not show; C
+    order makes every product with M independent of the argument's layout.
     """
 
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        a = np.array(entries, dtype=np.float64)
+        self._adopt(np.array(entries, dtype=np.float64, order="C"))
+
+    @classmethod
+    def _view(cls, entries):
+        """The solvers' prologue: a Matrix as is, a C-contiguous float64
+        ndarray through a read-only view of it (no n x n copy; the caller's
+        array stays writeable), anything else copied as by Matrix(entries).
+        The caller must not write to the array while the solve runs."""
+        if isinstance(entries, cls):
+            return entries
+        mtx = cls.__new__(cls)
+        mtx._adopt(np.asarray(entries, dtype=np.float64, order="C").view())
+        return mtx
+
+    def _adopt(self, a):
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
             raise DimensionError(f"expected a square n-by-n array with n >= 1, got shape {a.shape}")
         if not np.isfinite(a).all():

@@ -1,16 +1,16 @@
 """Solvers for x_i * (Mx)_i = 1: log-space Newton, nested-box bracketing,
 contraction iteration, and an auto mode.
 
-Auto runs Newton first, from 1/sqrt(rowsum(M)) refined by Richardson sweeps
-for as long as they contract fast; dense inputs need no Newton step after
-them. If Newton fails and the diagonal is positive, the paper's nested boxes
-take over (the bracket, whose convergence the paper proves); otherwise
-Newton's own error is raised.
+Auto runs Newton first, from 1/sqrt(rowsum(M)) refined by Sinkhorn pairs
+for as long as they contract fast and closed by one half step; dense inputs
+need no Newton step after them. If Newton fails and the diagonal is positive,
+the paper's nested boxes take over (the bracket, whose convergence the paper
+proves); otherwise Newton's own error is raised.
 solve_newton is the one Newton of the package: damped Newton in y = log x on M
-itself, with no normalised copy. Its one loop runs the sweep pairs, then the
-Newton steps. Every operation of it, and of its start, scales exactly under
-M -> 4^j M, x -> x / 2^j, so x(4^j M) = x(M) / 2^j holds bitwise until an
-intermediate leaves the normal range.
+itself, with no normalised copy, from that swept start. Every operation of
+its loop, and of the start, scales exactly under M -> 4^j M, x -> x / 2^j, so
+x(4^j M) = x(M) / 2^j holds bitwise until an intermediate leaves the normal
+range.
 
 Every public solver returns a SolveResult whose converged flag means
 residual <= config.tol at the returned point; a failure raises
@@ -22,7 +22,9 @@ solver raises a ValidationError.
 The contraction and bracket solvers iterate the update map F through one
 loop, _iterate; the bracket hands a stalled box to Newton. Every public solver
 opens with _prepare, which classifies the matrix once and validates it from
-that Classification; the solver passes it down. Every loop reads the residual
+that Classification; the solver passes it down. It reads a C-contiguous
+float64 ndarray through a read-only view instead of copying it, so a solve
+makes no n x n copy of M. Every loop reads the residual
 of the point it returns, and the result takes it from there:
 SolveResult.residual is trace[-1].
 """
@@ -35,7 +37,7 @@ import numpy as np
 
 from . import _kernels
 from .classify import Classification, classify
-from .core import PositiveVector, as_matrix, as_positive_vector, validate_solvable
+from .core import Matrix, PositiveVector, as_positive_vector, validate_solvable
 from .errors import (
     ContractionPreconditionError,
     ConvergenceError,
@@ -62,10 +64,12 @@ NEWTON_MAX_HALVINGS = 40
 # of 2 costs steps (6.94).
 NEWTON_MAX_STEP = 4.0
 
-# The default start is swept again while the last sweep pair cut max|g| by at
-# least this factor, which dense inputs reach (|lambda_2(S)| is small) and
-# near-bipartite ones do not (lambda_2 is near -1). Timed on the perfbench
-# pools against 2, 3, 5 and 20, 10 was fastest on both workloads.
+# The default start is swept by another Sinkhorn pair while the last one cut
+# the scale-free defect max q / min q - 1 by at least this factor, which dense
+# inputs reach (a pair multiplies the error by lambda_2(S)^2, small there) and
+# near-bipartite ones do not (lambda_2 is near -1). On the perfbench pools a
+# rate of 3 sent most small inputs through 8-24 pairs (small_mixed ~15%
+# slower per solve), where 10 and 30 tied.
 SWEEP_MIN_RATE = 10.0
 
 # Auto's Newton pass hands over to the bracket after this many steps. A step
@@ -119,7 +123,7 @@ def _prepare(M, config):
     """(M as a Matrix, config or the default, M's Classification): the
     prologue of every solver. M is classified once and validated from that
     classification, which the solver passes down."""
-    mtx = as_matrix(M)
+    mtx = Matrix._view(M)
     cls = classify(mtx)
     validate_solvable(mtx, cls)
     return mtx, config or SolverConfig(), cls
@@ -319,18 +323,14 @@ def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -
     exactly under M -> 4^j M, x -> x / 2^j, so x(4^j M) = x(M) / 2^j holds
     bitwise unless an intermediate leaves the normal range. M is validated by
     _prepare unless the caller passes its Classification as _cls. An explicit
-    x0 is used as given. The default start is r = 1/sqrt(rowsum(M)); a row
-    whose sum overflows is summed over M / 4^512 and its entry scaled back by
-    2^-512. One loop runs while the defect is above tol: sweep pairs from the
-    default start first, then Newton steps. A sweep pair is two Richardson steps
-    y <- y - w*G(y): w = 1 (x <- 1/(Mx), whose Mx is the one behind the
-    defect), then w = 1/2 (x <- sqrt(x/(Mx))). Near the solution a pair
-    multiplies the error by (I - S)/2 * (-S), S = diag(x) M diag(x)
-    stochastic: by (1 - lambda)/2 * |lambda| on an eigenvalue lambda of S, a
-    tenth or less on dense inputs, where |lambda_2(S)| is small. A pair is
-    kept only if it lowers max|g|, and another follows only if it cut max|g|
-    by at least SWEEP_MIN_RATE, so where lambda_2 is near -1 (the factor near
-    1) Newton takes over after a pair or two.
+    x0 is used as given. The default start, _swept_start, is
+    r = 1/sqrt(rowsum(M)) refined by Sinkhorn pairs z <- 1/(M(1/(Mz))) and
+    one closing half step y <- y - G(y)/2. Near the solution a pair
+    multiplies the error by S^2, S = diag(x) M diag(x) stochastic: by
+    lambda^2 on an eigenvalue lambda of S, small on dense inputs, near 1
+    where lambda_2 is near -1, where Newton takes over after a pair or two.
+    Pairs leave the overall scale, and modes with lambda near 1, alone; the
+    half step removes them.
 
     With g = log1p(x*(Mx) - 1) the step s solves
     (I + diag(1/Mx) M diag(x)) s = -g: from n = KRYLOV_MIN_N on by matrix-free
@@ -341,92 +341,129 @@ def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -
     lam*s exceeds NEWTON_MAX_STEP, at most 1, and is halved until max|g|
     decreases. Stops once the residual max|x*(Mx) - 1| is at most tol.
 
-    iterations counts Newton steps. trace holds the residual at the start,
-    then after each kept sweep pair, then after each Newton step, so the
-    result took len(trace) - 1 - iterations sweep pairs, and its residual is
-    trace[-1]. A singular Jacobian (an exactly zero pivot, or a step that is
-    not finite) raises SingularJacobianError, a spent budget or a line search
-    that fails ConvergenceError; both carry the last iterate as a
-    non-converged result.
+    iterations counts Newton steps. trace holds the start's entries (see
+    _swept_start), then the residual after each Newton step. So
+    len(trace) - 1 - iterations counts the kept pairs (1 for a half step
+    alone), and the residual is trace[-1]. A singular Jacobian (an exactly
+    zero pivot, or a step that is not finite) raises SingularJacobianError, a
+    spent budget or a line search that fails ConvergenceError; both carry the
+    last iterate as a non-converged result.
     """
     if _cls is None:
         M, config, _cls = _prepare(M, config)
     m = M.entries
     n = M.n
-    sweep = x0 is None
     iterations = 0
     jac = None
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if sweep:
-            # Positive row sums: M is validated. A row sum overflows only near
-            # the largest double; such a row is summed over M / 4^512 instead.
-            rows = m.sum(axis=1)
-            x = 1.0 / np.sqrt(rows)
-            big = np.isinf(rows)
-            if big.any():
-                x[big] = 2.0**-512 / np.sqrt((m[big] * 2.0**-1024).sum(axis=1))
+        if x0 is None:
+            x, d, g, gn, mx, trace = _swept_start(m, config.tol)
         else:
             x = as_positive_vector(x0).values
             if x.shape[0] != n:
                 raise ValidationError(f"start point has length {x.shape[0]}, expected {n}")
-        d, g, gn, mx = _log_defect(m, x)
-        trace = [float(np.abs(d).max())]
+            d, g, gn, mx = _log_defect(m, x)
+            trace = [float(np.abs(d).max())]
         while trace[-1] > config.tol:
-            if sweep:
-                # The product behind x's defect is the pair's first half-step.
-                xt = 1.0 / mx
-                xt = np.sqrt(xt / (m @ xt))
+            if not gn < np.inf:
+                raise ConvergenceError(
+                    "newton: the start point is too far off: the log defect log1p(x*(Mx) - 1) "
+                    "is not finite there",
+                    result=_result(x, 0, "newton", trace, False, _cls),
+                )
+            if iterations >= config.max_iter:
+                raise _convergence_error(x, iterations, "newton", trace, _cls)
+            s = None
+            if n >= KRYLOV_MIN_N:
+                # Relaxed where ||r||_2 <= tol/2 suffices; then max|g|^2 < tol/2.
+                eta = min(0.5, max(gn, 0.5 * config.tol / float(np.sqrt(g @ g))))
+                s = _kernels.krylov_step(m, x, mx, g, eta, KRYLOV_MAX_ITER)
+            if s is None:
+                if jac is None:
+                    jac = np.empty((n, n))
+                _kernels.newton_system(m, x, mx, jac)
+                try:
+                    s = np.linalg.solve(jac, -(1.0 + d) * g) / x
+                except np.linalg.LinAlgError:
+                    pass
+            # smax is inf or NaN unless a finite step was found.
+            smax = np.inf if s is None else float(np.abs(s).max())
+            if not smax < np.inf:
+                raise SingularJacobianError(
+                    f"newton: the Jacobian is singular at iteration {iterations}",
+                    result=_result(x, iterations, "newton", trace, False, _cls),
+                )
+            lam = 1.0 if smax <= NEWTON_MAX_STEP else NEWTON_MAX_STEP / smax
+            for _ in range(NEWTON_MAX_HALVINGS + 1):
+                xt = x * np.exp(lam * s)
                 dt, gt, gtn, mxt = _log_defect(m, xt)
-                if not gtn < gn:
-                    sweep = False
-                    continue
-                sweep = SWEEP_MIN_RATE * gtn <= gn
-            else:
-                if not gn < np.inf:
-                    raise ConvergenceError(
-                        "newton: the start point is too far off: the log defect log1p(x*(Mx) - 1) "
-                        "is not finite there",
-                        result=_result(x, 0, "newton", trace, False, _cls),
-                    )
-                if iterations >= config.max_iter:
-                    raise _convergence_error(x, iterations, "newton", trace, _cls)
-                s = None
-                if n >= KRYLOV_MIN_N:
-                    # Relaxed where ||r||_2 <= tol/2 suffices; then max|g|^2 < tol/2.
-                    eta = min(0.5, max(gn, 0.5 * config.tol / float(np.sqrt(g @ g))))
-                    s = _kernels.krylov_step(m, x, mx, g, eta, KRYLOV_MAX_ITER)
-                if s is None:
-                    if jac is None:
-                        jac = np.empty((n, n))
-                    _kernels.newton_system(m, x, mx, jac)
-                    try:
-                        s = np.linalg.solve(jac, -(1.0 + d) * g) / x
-                    except np.linalg.LinAlgError:
-                        pass
-                # smax is inf or NaN unless a finite step was found.
-                smax = np.inf if s is None else float(np.abs(s).max())
-                if not smax < np.inf:
-                    raise SingularJacobianError(
-                        f"newton: the Jacobian is singular at iteration {iterations}",
-                        result=_result(x, iterations, "newton", trace, False, _cls),
-                    )
-                lam = 1.0 if smax <= NEWTON_MAX_STEP else NEWTON_MAX_STEP / smax
-                for _ in range(NEWTON_MAX_HALVINGS + 1):
-                    xt = x * np.exp(lam * s)
-                    dt, gt, gtn, mxt = _log_defect(m, xt)
-                    if gtn < gn:
-                        break
-                    lam *= 0.5
-                if not gtn < gn:
-                    raise ConvergenceError(
-                        f"newton: line search could not reduce the log defect below {gn:.3e} "
-                        f"within {NEWTON_MAX_HALVINGS} halvings",
-                        result=_result(x, iterations, "newton", trace, False, _cls),
-                    )
-                iterations += 1
+                if gtn < gn:
+                    break
+                lam *= 0.5
+            if not gtn < gn:
+                raise ConvergenceError(
+                    f"newton: line search could not reduce the log defect below {gn:.3e} "
+                    f"within {NEWTON_MAX_HALVINGS} halvings",
+                    result=_result(x, iterations, "newton", trace, False, _cls),
+                )
+            iterations += 1
             x, d, g, gn, mx = xt, dt, gt, gtn, mxt
             trace.append(float(np.abs(d).max()))
     return _result(x, iterations, "newton", trace, True, _cls)
+
+
+def _swept_start(m, tol):
+    """solve_newton's default start: (x, d, g, max|g|, Mx, trace) at it.
+
+    It is r = 1/sqrt(rowsum(M)); a row whose sum overflows is summed over
+    M / 4^512 and its entry scaled back by 2^-512. Where r's residual is above
+    tol, Sinkhorn pairs z <- 1/(M(1/(Mz))) refine it, two products each, the
+    first reusing the product already held. A pair is judged by the
+    scale-free defect e = max q / min q - 1 of q = z*(Mz): it is kept only if
+    it lowers e, and another follows only while e > tol and the last one cut
+    e by at least SWEEP_MIN_RATE. One half step x = z/sqrt(q), which is
+    sqrt(z/(Mz)) without forming that quotient of order z^2, closes the sweep
+    from the last kept pair, or from r where none was kept. The closed point
+    replaces r only if it lowers max|g|.
+
+    trace holds r's residual, then one e per kept pair, the last one replaced
+    by the residual at the closed point (a lone entry where no pair was
+    kept); where r is returned, only r's residual.
+    """
+    # Positive row sums: M is validated. A row sum overflows only near the
+    # largest double; such a row is summed over M / 4^512 instead.
+    rows = m.sum(axis=1)
+    r = 1.0 / np.sqrt(rows)
+    big = np.isinf(rows)
+    if big.any():
+        r[big] = 2.0**-512 / np.sqrt((m[big] * 2.0**-1024).sum(axis=1))
+    mr = m @ r
+    q = r * mr
+    hi, lo = q.max(), q.min()
+    trace = [float(max(hi - 1.0, 1.0 - lo))]
+    if trace[0] > tol:
+        z, mz, qz, e = r, mr, q, hi / lo - 1.0
+        pairs = []
+        while True:
+            zt = 1.0 / (m @ (1.0 / mz))
+            mzt = m @ zt
+            qt = zt * mzt
+            et = qt.max() / qt.min() - 1.0
+            if not et < e:
+                break
+            pairs.append(float(et))
+            fast = SWEEP_MIN_RATE * et <= e
+            z, mz, qz, e = zt, mzt, qt, et
+            if not (fast and e > tol):
+                break
+        x = z / np.sqrt(qz)
+        d, g, gn, mx = _log_defect(m, x)
+        if gn < max(np.log1p(hi - 1.0), -np.log1p(lo - 1.0)):  # r's max|g|, bitwise
+            pairs[-1:] = [float(np.abs(d).max())]
+            return x, d, g, gn, mx, trace + pairs
+    d = q - 1.0  # bitwise quad_defect at r
+    g = np.log1p(d)
+    return r, d, g, float(np.abs(g).max()), mr, trace
 
 
 def _log_defect(m, x):

@@ -146,26 +146,26 @@ def test_exit_code_follows_the_error_family(tmp_path, capsys, monkeypatch, cls):
 
 def test_solve_singular_jacobian_exit_2_emits_best(tmp_path, capsys):
     # The zero diagonal leaves auto no fallback after Newton, which meets a
-    # singular Jacobian at its refined start (2^-5/4, 2^3/4).
+    # singular Jacobian at its start (2^-1/2, 1): no sweep lowers its defect.
     path = write(tmp_path, "singular.csv", "0,2\n1,0\n")
     code, out, err = run_cli(capsys, "solve", "--input", path)
     assert code == 2
     payload = json.loads(out)
     assert payload["converged"] is False
-    assert payload["x"] == pytest.approx([2.0**-1.25, 2.0**0.75], rel=1e-15)
+    assert payload["x"] == pytest.approx([2.0**-0.5, 1.0], rel=1e-15)
     assert payload["method"] == "newton"
     assert "Jacobian" in err and "singular" in err
 
 
 def test_solve_newton_singular_jacobian_exit_2(tmp_path, capsys):
-    # At the start (2^-5/4, 2^3/4) the Jacobian is
-    # [[2^7/4, 2^-1/4], [2^3/4, 2^-5/4]], singular like every Jacobian here.
+    # At the start (2^-1/2, 1) the Jacobian is [[2, 2^1/2], [1, 2^-1/2]],
+    # singular like every Jacobian here.
     path = write(tmp_path, "singular.csv", "0,2\n1,0\n")
     code, out, err = run_cli(capsys, "solve", "--input", path, "--method", "newton")
     assert code == 2
     payload = json.loads(out)
     assert payload["converged"] is False
-    assert payload["x"] == pytest.approx([2.0**-1.25, 2.0**0.75], rel=1e-15)
+    assert payload["x"] == pytest.approx([2.0**-0.5, 1.0], rel=1e-15)
     assert "Jacobian is singular" in err
 
 

@@ -8,10 +8,12 @@ from inversepoint import (
     DimensionError,
     Matrix,
     PositiveVector,
+    SolverConfig,
     ValidationError,
     diag_sandwich,
     inverse_elementwise,
     matvec,
+    solve,
 )
 from inversepoint.oracle import oracle_solve
 
@@ -21,6 +23,45 @@ def test_matrix_rejects_nan_and_inf():
         Matrix([[1.0, float("nan")], [0.0, 1.0]])
     with pytest.raises(ValidationError):
         Matrix([[1.0, float("inf")], [0.0, 1.0]])
+
+
+def test_matrix_copies_its_argument():
+    a = np.array([[2.0, 1.0], [1.0, 3.0]])
+    mtx = Matrix(a)
+    a[0, 0] = 7.0
+    assert mtx.entries[0, 0] == 2.0
+    assert a.flags.writeable and not mtx.entries.flags.writeable
+
+
+def test_solve_leaves_a_float64_array_unchanged_and_writeable():
+    # The solvers read a C-contiguous float64 array through a read-only view
+    # instead of copying it; the caller's own array keeps its flags.
+    a = np.array([[2.0, 1.0, 0.5], [1.0, 3.0, 1.0], [0.5, 1.0, 4.0]])
+    before = a.tobytes()
+    for method in ("auto", "bracket", "contraction", "newton"):
+        solve(a, SolverConfig(method=method))
+        assert a.tobytes() == before and a.flags.writeable
+    a[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("form", ["list", "int", "fortran", "strided", "matrix", "fortran_matrix"])
+def test_every_input_form_solves_bitwise_as_the_c_order_array(form):
+    # Matrix stores its entries in C order, so a product with M rounds the
+    # same whatever the layout of the argument. BLAS sums a Fortran-order
+    # array in another order.
+    a = np.random.default_rng(3).integers(1, 10, (12, 12)).astype(np.float64)
+    given = {
+        "list": a.tolist(),
+        "int": a.astype(np.int64),
+        "fortran": np.asfortranarray(a),
+        "strided": np.repeat(a, 2, axis=1)[:, ::2],
+        "matrix": Matrix(a),
+        "fortran_matrix": Matrix(np.asfortranarray(a)),
+    }[form]
+    ref = solve(a)
+    res = solve(given)
+    assert res.x.values.tobytes() == ref.x.values.tobytes()
+    assert np.array_equal(res.trace, ref.trace) and res.iterations == ref.iterations
 
 
 def test_matrix_rejects_non_square():

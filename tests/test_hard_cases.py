@@ -167,6 +167,31 @@ def test_wide_range_draws_fail_only_numerically(method):
         check_converged_invariants(Matrix(m), res)
 
 
+# The draws of wide_range_draws() that each method solves. When the sweep pair
+# was x <- 1/(Mx), x <- sqrt(x/(Mx)) with no closing half step, auto solved
+# all of its set but draw 8, and newton 36 of its set.
+WIDE_RANGE_SOLVED = {
+    "auto": {1, 2, 3, 5, 7, 8, 10, 11, 12, 14, 15, 16, 18, 21, 22, 24, 26, 27, 32, 33, 34, 35, 36, 37, 39, 41, 42,
+             44, 45, 47, 49, 50, 51, 52, 54, 57, 58, 60, 61, 62, 63, 64, 65, 66, 68, 70, 71, 72, 73, 74, 75, 76,
+             78, 79, 80, 81, 82, 83, 85, 86, 87, 88, 90, 91, 93, 94, 95, 97, 98, 99},
+    "newton": {1, 2, 3, 5, 7, 8, 10, 11, 12, 14, 15, 18, 22, 24, 26, 27, 32, 33, 34, 35, 37, 39, 41, 42, 44, 45,
+               47, 49, 50, 51, 52, 54, 57, 58, 60, 61, 64, 65, 68, 70, 72, 73, 74, 76, 78, 79, 80, 81, 82, 83, 85,
+               86, 87, 88, 90, 91, 93, 94, 95, 97, 98, 99},
+}
+
+
+@pytest.mark.parametrize("method", ["auto", "newton"])
+def test_wide_range_draws_solved_are_pinned(method):
+    solved = set()
+    for k, m in enumerate(wide_range_draws()):
+        try:
+            solve(m, SolverConfig(method=method))
+        except ConvergenceError:
+            continue
+        solved.add(k)
+    assert solved == WIDE_RANGE_SOLVED[method]
+
+
 def test_solution_outside_the_double_range_raises_convergence_error():
     # The bracket's box midpoint underflows to 0 in an entry whose solution
     # lies below the double range. No PositiveVector can hold it, so the
@@ -188,7 +213,7 @@ def test_dense_n400_weak_diagonal():
     np.fill_diagonal(a, rng.uniform(0.05, 0.3, 400))
     res = solve(a)
     check_converged_invariants(Matrix(a), res)
-    assert (res.method_used, res.iterations, len(res.trace)) == ("newton", 0, 7)
+    assert (res.method_used, res.iterations, len(res.trace)) == ("newton", 0, 5)
     assert np.array_equal(solve(4.0 * a).x.values, np.ldexp(res.x.values, -1))
     steps = solve_newton(a, default_start(a))
     check_converged_invariants(Matrix(a), steps)

@@ -126,12 +126,14 @@ def test_power_of_four_scale_law_is_bitwise_at_n400(j):
 
 
 # (eps, Newton steps, defect evaluations) of auto on the near-bipartite
-# matrix. Uncapped, the first full steps overflow and the line search halves
-# them many times: (7, 15), (8, 27) and (7, 34) with NEWTON_MAX_STEP = inf.
-CAPPED_STEP_COUNTS = [(1e-2, 6, 9), (1e-4, 5, 8), (1e-6, 8, 13)]
+# matrix. The default start and its sweep pairs form their products directly,
+# so the evaluations are the close of the sweep and the line-search trials.
+# Uncapped, the first full steps overflow and the line search halves them
+# many times: (7, 14), (8, 26) and (7, 33) with NEWTON_MAX_STEP = inf.
+CAPPED_STEP_COUNTS = [(1e-2, 6, 8), (1e-4, 5, 7), (1e-6, 8, 12)]
 
 
-@pytest.mark.parametrize("eps, steps, defects", CAPPED_STEP_COUNTS)
+@pytest.mark.parametrize("eps, steps, defects", CAPPED_STEP_COUNTS, ids=[str(c[0]) for c in CAPPED_STEP_COUNTS])
 def test_capped_steps_save_halvings_on_near_bipartite_inputs(monkeypatch, eps, steps, defects):
     calls = []
     original = _kernels.quad_defect

@@ -1,7 +1,10 @@
-"""The swept default start of solve_newton: Richardson sweep pairs from
-1/sqrt(rowsum(M)), each kept only where it lowers max|log defect|, repeated
-while the last one cut it by at least SWEEP_MIN_RATE. trace records the
-start, then each kept pair, then each Newton step."""
+"""The swept default start of solve_newton: Sinkhorn pairs
+z <- 1/(M(1/(Mz))) from 1/sqrt(rowsum(M)), each kept only where it lowers the
+scale-free defect e = max q / min q - 1 of q = z*(Mz), repeated while the last
+one cut e by at least SWEEP_MIN_RATE, then one half step z/sqrt(q), kept only
+where it lowers max|log defect| below the start's. trace records the start,
+then each kept pair (the last one as the residual after the half step), then
+each Newton step."""
 
 import numpy as np
 import pytest
@@ -12,16 +15,26 @@ from inversepoint import Matrix, SolverConfig, solve, solve_newton
 from inversepoint._kernels import residual_inf
 from test_hard_cases import _scale_law_inputs
 from test_krylov import _near_bipartite
+from test_solver import check_converged_invariants
 
 
 def _pairs(res):
     return len(res.trace) - 1 - res.iterations
 
 
-def _one_pair(a):
-    # The pair x <- 1/(Ax), then x <- sqrt(x/(Ax)), from the raw start.
-    x = 1.0 / (a @ default_start(a))
-    return np.sqrt(x / (a @ x))
+def _sweep(a, pairs):
+    """(the half step after the given number of Sinkhorn pairs from the
+    default start, e after each of those pairs), formed as solve_newton
+    forms them."""
+    z = default_start(a)
+    mz = a @ z
+    es = []
+    for _ in range(pairs):
+        z = 1.0 / (a @ (1.0 / mz))
+        mz = a @ z
+        q = z * mz
+        es.append(q.max() / q.min() - 1.0)
+    return z / np.sqrt(z * mz), es
 
 
 def _with_defect_raised_at_call(monkeypatch, which):
@@ -38,7 +51,10 @@ def _with_defect_raised_at_call(monkeypatch, which):
 
 
 def test_refined_point_is_dropped_when_it_does_not_lower_the_defect(monkeypatch, triangular):
-    _with_defect_raised_at_call(monkeypatch, 2)
+    # The first _log_defect call is the half step that closes the sweep.
+    # With its defect raised, the pairs are dropped and Newton runs from the
+    # start, exactly as from the start given explicitly.
+    _with_defect_raised_at_call(monkeypatch, 1)
     res = solve_newton(triangular)
     monkeypatch.undo()
     raw = solve_newton(triangular, default_start(triangular.entries))
@@ -49,18 +65,52 @@ def test_refined_point_is_dropped_when_it_does_not_lower_the_defect(monkeypatch,
 
 
 def test_a_later_pair_that_raises_the_defect_is_not_kept(monkeypatch):
-    # Unpatched, this input takes several pairs and no Newton step. With the
-    # second pair's defect raised, the loop keeps the first pair's point and
-    # Newton runs from there, exactly as from that point given explicitly.
+    # Unpatched, this input takes several pairs and no Newton step.
     a = _dense(100)
-    assert (solve_newton(a).iterations, _pairs(solve_newton(a))) == (0, 8)
-    _with_defect_raised_at_call(monkeypatch, 3)
+    assert (solve_newton(a).iterations, _pairs(solve_newton(a))) == (0, 5)
+    # With SWEEP_MIN_RATE = 1 every kept pair earns another, and below tol =
+    # 5e-16 the pairs go on until one fails to lower e at the rounding level:
+    # the eighth. It is not kept, and the half step closes the seventh.
+    monkeypatch.setattr(solver_module, "SWEEP_MIN_RATE", 1.0)
+    res = solve_newton(a, None, SolverConfig(tol=5e-16))
+    monkeypatch.undo()
+    es = _sweep(a, 8)[1]
+    assert not es[7] < es[6]
+    assert (_pairs(res), res.iterations) == (7, 0)
+    assert np.array_equal(res.trace[1:-1], es[:6])
+    assert res.x.values.tobytes() == _sweep(a, 7)[0].tobytes()
+    # With the half step's defect raised, every pair is dropped and Newton
+    # runs from the start, exactly as from the start given explicitly.
+    _with_defect_raised_at_call(monkeypatch, 1)
     res = solve_newton(a)
     monkeypatch.undo()
-    after_one = solve_newton(a, _one_pair(a))
-    assert _pairs(res) == 1 and res.iterations >= 1
-    assert np.array_equal(res.trace[1:], after_one.trace)
-    assert res.x.values.tobytes() == after_one.x.values.tobytes()
+    raw = solve_newton(a, default_start(a))
+    assert _pairs(res) == 0 and res.iterations >= 1
+    assert np.array_equal(res.trace, raw.trace)
+    assert res.x.values.tobytes() == raw.x.values.tobytes()
+
+
+@pytest.mark.parametrize("method", ["auto", "newton"])
+def test_subnormal_row_sums_are_swept_to_tol(method):
+    # Row sums near 1e-323 put x near 1e161. A half step formed as x/(Mx), of
+    # order x^2, overflows there. The pairs form only 1/(Mz), and the half
+    # step z/sqrt(q) only a quotient of order 1, so the sweep reaches tol.
+    m = [[5e-324, 5e-324], [5e-324, 1e-323]]
+    res = solve(m, SolverConfig(method=method))
+    check_converged_invariants(Matrix(m), res)
+    assert (res.method_used, res.iterations, _pairs(res)) == ("newton", 0, 8)
+
+
+def test_the_half_step_removes_what_the_pairs_leave():
+    # Rows 600 decades apart and barely coupled: S is nearly I, and pairs
+    # leave modes with lambda near 1 almost alone (the spread is still above
+    # 1e57 after six). The sweep stops after two pairs, which cut e only 3x,
+    # and the half step brings the residual to 0.2; one Newton step is left.
+    a = np.array([[1e300, 1e-30], [1e-30, 1e-300]])
+    assert _sweep(a, 6)[1][-1] > 1e57
+    res = solve(a)
+    check_converged_invariants(Matrix(a), res)
+    assert (res.iterations, _pairs(res)) == (1, 2) and res.trace[2] < 0.21
 
 
 def test_explicit_start_is_never_refined(triangular):

@@ -31,7 +31,7 @@ def f_apply(m, x, out) -> int:
     coordinates of x. Returns -1, or the first row where the root is undefined
     (zero diagonal and zero off-diagonal contribution)."""
     d = np.diagonal(m)
-    b = m @ x - d * x
+    b = m.dot(x) - d * x
     bad = (d == 0.0) & (b <= 0.0)
     if bad.any():
         return int(np.nonzero(bad)[0][0])
@@ -41,13 +41,13 @@ def f_apply(m, x, out) -> int:
 
 def residual_inf(m, x) -> float:
     """max_i |x_i * (Mx)_i - 1|."""
-    return float(np.abs(x * (m @ x) - 1.0).max())
+    return float(np.abs(x * m.dot(x) - 1.0).max())
 
 
 def quad_defect(m, x) -> tuple[np.ndarray, np.ndarray]:
     """(x*(Mx) - 1, Mx): the per-row defect of the quadratic system and the
     product behind it."""
-    mx = m @ x
+    mx = m.dot(x)
     return x * mx - 1.0, mx
 
 
@@ -55,7 +55,7 @@ def newton_system(m, x, mx, jac) -> None:
     """Fill jac with the Jacobian J_ij = x_i*m_ij + delta_ij*(Mx)_i of the
     quadratic defect at x, given the product mx = Mx."""
     np.multiply(x[:, None], m, out=jac)
-    jac.flat[:: m.shape[0] + 1] += mx
+    jac.reshape(-1)[:: m.shape[0] + 1] += mx
 
 
 def krylov_step(a, x, ax, g, eta, maxit):
@@ -75,7 +75,7 @@ def krylov_step(a, x, ax, g, eta, maxit):
     e = np.zeros(maxit + 1)
     e[0] = beta
     for j in range(maxit):
-        w = v[j] + (a @ (x * v[j])) / ax
+        w = v[j] + a.dot(x * v[j]) / ax
         basis = v[: j + 1]
         h = basis @ w
         w -= h @ basis

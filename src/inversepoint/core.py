@@ -17,6 +17,8 @@ class Matrix:
 
     Entries must be finite. Negative entries are representable (classification
     reports nonnegativity and the solvers reject it); NaN and infinity are not.
+    The one exception is _view, the solvers' prologue: its Matrix holds
+    unchecked entries until classify has checked them.
     The entries are a copy, so later writes to the argument do not show; C
     order makes every product with M independent of the argument's layout.
     """
@@ -25,13 +27,17 @@ class Matrix:
 
     def __init__(self, entries):
         self._adopt(np.array(entries, dtype=np.float64, order="C"))
+        if not np.isfinite(self.entries).all():
+            raise ValidationError("matrix entries must be finite (no NaN or infinity)")
 
     @classmethod
     def _view(cls, entries):
         """The solvers' prologue: a Matrix as is, a C-contiguous float64
         ndarray through a read-only view of it (no n x n copy; the caller's
         array stays writeable), anything else copied as by Matrix(entries).
-        The caller must not write to the array while the solve runs."""
+        It checks the shape only; classify checks finiteness next, so a solve
+        makes no n x n temporary. The caller must not write to the array
+        while the solve runs."""
         if isinstance(entries, cls):
             return entries
         mtx = cls.__new__(cls)
@@ -41,8 +47,6 @@ class Matrix:
     def _adopt(self, a):
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
             raise DimensionError(f"expected a square n-by-n array with n >= 1, got shape {a.shape}")
-        if not np.isfinite(a).all():
-            raise ValidationError("matrix entries must be finite (no NaN or infinity)")
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 

@@ -23,10 +23,10 @@ The contraction and bracket solvers iterate the update map F through one
 loop, _iterate; the bracket hands a stalled box to Newton. Every public solver
 opens with _prepare, which classifies the matrix once and validates it from
 that Classification; the solver passes it down. It reads a C-contiguous
-float64 ndarray through a read-only view instead of copying it, so a solve
-makes no n x n copy of M. Every loop reads the residual
-of the point it returns, and the result takes it from there:
-SolveResult.residual is trace[-1].
+float64 ndarray through a read-only view, and classify checks finiteness from
+its own reductions, so a solve makes no n x n copy or temporary. Every loop
+reads the residual of the point it returns, and the result takes it from
+there: SolveResult.residual is trace[-1].
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ def _prepare(M, config):
     prologue of every solver. M is classified once and validated from that
     classification, which the solver passes down."""
     mtx = Matrix._view(M)
-    cls = classify(mtx)
+    cls = classify(mtx)  # checks finiteness: nothing may read M's values before it
     validate_solvable(mtx, cls)
     return mtx, config or SolverConfig(), cls
 
@@ -363,7 +363,7 @@ def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -
             if x.shape[0] != n:
                 raise ValidationError(f"start point has length {x.shape[0]}, expected {n}")
             d, g, gn, mx = _log_defect(m, x)
-            trace = [float(np.abs(d).max())]
+            trace = [float(np.maximum.reduce(np.abs(d)))]
         while trace[-1] > config.tol:
             if not gn < np.inf:
                 raise ConvergenceError(
@@ -387,7 +387,7 @@ def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -
                 except np.linalg.LinAlgError:
                     pass
             # smax is inf or NaN unless a finite step was found.
-            smax = np.inf if s is None else float(np.abs(s).max())
+            smax = np.inf if s is None else float(np.maximum.reduce(np.abs(s)))
             if not smax < np.inf:
                 raise SingularJacobianError(
                     f"newton: the Jacobian is singular at iteration {iterations}",
@@ -408,7 +408,7 @@ def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -
                 )
             iterations += 1
             x, d, g, gn, mx = xt, dt, gt, gtn, mxt
-            trace.append(float(np.abs(d).max()))
+            trace.append(float(np.maximum.reduce(np.abs(d))))
     return _result(x, iterations, "newton", trace, True, _cls)
 
 
@@ -433,25 +433,25 @@ def _swept_start(m, tol):
     # Positive row sums: M is validated. A row sum overflows only near the
     # largest double; such a row is summed over M / 4^512 instead.
     rows = m.sum(axis=1)
-    r = 1.0 / np.sqrt(rows)
+    r = np.reciprocal(np.sqrt(rows))
     big = np.isinf(rows)
     if big.any():
         r[big] = 2.0**-512 / np.sqrt((m[big] * 2.0**-1024).sum(axis=1))
-    mr = m @ r
+    mr = m.dot(r)
     q = r * mr
-    hi, lo = q.max(), q.min()
+    hi, lo = np.maximum.reduce(q), np.minimum.reduce(q)
     trace = [float(max(hi - 1.0, 1.0 - lo))]
     if trace[0] > tol:
         z, mz, qz, e = r, mr, q, hi / lo - 1.0
         pairs = []
         while True:
-            zt = 1.0 / (m @ (1.0 / mz))
-            mzt = m @ zt
+            zt = np.reciprocal(m.dot(np.reciprocal(mz)))
+            mzt = m.dot(zt)
             qt = zt * mzt
-            et = qt.max() / qt.min() - 1.0
+            et = float(np.maximum.reduce(qt) / np.minimum.reduce(qt)) - 1.0
             if not et < e:
                 break
-            pairs.append(float(et))
+            pairs.append(et)
             fast = SWEEP_MIN_RATE * et <= e
             z, mz, qz, e = zt, mzt, qt, et
             if not (fast and e > tol):
@@ -459,11 +459,11 @@ def _swept_start(m, tol):
         x = z / np.sqrt(qz)
         d, g, gn, mx = _log_defect(m, x)
         if gn < max(np.log1p(hi - 1.0), -np.log1p(lo - 1.0)):  # r's max|g|, bitwise
-            pairs[-1:] = [float(np.abs(d).max())]
+            pairs[-1:] = [float(np.maximum.reduce(np.abs(d)))]
             return x, d, g, gn, mx, trace + pairs
     d = q - 1.0  # bitwise quad_defect at r
     g = np.log1p(d)
-    return r, d, g, float(np.abs(g).max()), mr, trace
+    return r, d, g, float(np.maximum.reduce(np.abs(g))), mr, trace
 
 
 def _log_defect(m, x):
@@ -474,7 +474,7 @@ def _log_defect(m, x):
     warning."""
     d, mx = _kernels.quad_defect(m, x)
     g = np.log1p(d)
-    return d, g, float(np.abs(g).max()), mx
+    return d, g, float(np.maximum.reduce(np.abs(g))), mx
 
 
 def multistart_uniqueness(M, config: SolverConfig | None = None, starts: int = 20):

@@ -148,7 +148,12 @@ def test_capped_steps_save_halvings_on_near_bipartite_inputs(monkeypatch, eps, s
 
 
 class _LoggedProducts(np.ndarray):
-    """A matrix that logs the vector of every product formed with it."""
+    """A matrix that logs the vector of every product formed with it, as
+    m.dot(v) or as m @ v."""
+
+    def dot(self, v, out=None):
+        self.vectors.append(np.array(v))
+        return np.asarray(self).dot(v, out)
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if ufunc is np.matmul and inputs[0] is self:

@@ -14,16 +14,15 @@ import numpy as np
 BACKEND = "numpy"
 
 
-def positive_root(mii: float, b: float) -> float:
-    """Unique positive root of m*t**2 + b*t - 1 = 0; NaN when m = 0 and b <= 0.
+def positive_root(d, b):
+    """Unique positive root of d*t**2 + b*t - 1 = 0, elementwise; defined
+    where d > 0 or b > 0, which the callers check.
 
-    Uses 2/(b + hypot(b, 2 sqrt(m))) instead of the textbook
-    (-b + sqrt(b^2 + 4m))/(2m), which cancels catastrophically for large b.
-    hypot forms no b^2 to overflow or underflow, and m = 0 gives 1/b exactly.
+    Uses 2/(b + hypot(b, 2 sqrt(d))) instead of the textbook
+    (-b + sqrt(b^2 + 4d))/(2d), which cancels catastrophically for large b.
+    hypot forms no b^2 to overflow or underflow, and d = 0 gives 1/b exactly.
     """
-    if mii == 0.0 and b <= 0.0:
-        return np.nan
-    return 2.0 / (b + np.hypot(b, 2.0 * np.sqrt(mii)))
+    return 2.0 / (b + np.hypot(b, 2.0 * np.sqrt(d)))
 
 
 def f_apply(m, x, out) -> int:
@@ -35,7 +34,7 @@ def f_apply(m, x, out) -> int:
     bad = (d == 0.0) & (b <= 0.0)
     if bad.any():
         return int(np.nonzero(bad)[0][0])
-    out[:] = 2.0 / (b + np.hypot(b, 2.0 * np.sqrt(d)))  # as in positive_root
+    out[:] = positive_root(d, b)
     return -1
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PositiveVector, as_matrix
+from .core import Matrix, PositiveVector, as_matrix
 from .errors import ConvergenceError, NonNegativityError, NotPrimitiveError, ValidationError
 
 
@@ -26,13 +26,6 @@ class Classification:
     contraction_condition: bool
     contraction_constant: float | None
     has_zero_row: bool
-
-
-def _nonnegative_entries(M) -> np.ndarray:
-    a = as_matrix(M).entries
-    if (a < 0).any():
-        raise NonNegativityError("operation requires a nonnegative matrix")
-    return a
 
 
 def _bfs_levels(adj: np.ndarray) -> np.ndarray:
@@ -55,23 +48,31 @@ def _bfs_levels(adj: np.ndarray) -> np.ndarray:
     return level
 
 
-def is_primitive(M) -> bool:
-    """True iff M is irreducible with period 1, i.e. some power of M is positive.
+def _nonnegative(M) -> Classification:
+    """classify(M), or NonNegativityError where M has a negative entry."""
+    cls = classify(M)
+    if not cls.nonnegative:
+        raise NonNegativityError("operation requires a nonnegative matrix")
+    return cls
 
-    A graph test on the zero/nonzero pattern (Denardo, Math. Oper. Res. 1977):
-    M is irreducible iff a breadth-first search from node 0 reaches every node
-    both along the edges i -> j (m_ij > 0) and against them. The period of an
-    irreducible pattern is the gcd of level[i] + 1 - level[j] over its edges,
-    with level the BFS distance from node 0; a positive diagonal entry is a
-    cycle of length 1. For n = 1 this gives primitive iff m_11 > 0.
-    """
-    a = _nonnegative_entries(M)
-    return bool(a.min() > 0) or _is_primitive(a)
+
+def is_primitive(M) -> bool:
+    """True iff M is irreducible with period 1, i.e. some power of M is
+    positive; see _is_primitive."""
+    return _nonnegative(M).primitive
 
 
 def _is_primitive(a) -> bool:
     """is_primitive on a nonnegative ndarray, without the check or the
-    shortcut for positive a."""
+    shortcuts for positive a or a complete off-diagonal.
+
+    A graph test on the zero/nonzero pattern (Denardo, Math. Oper. Res. 1977):
+    a is irreducible iff a breadth-first search from node 0 reaches every node
+    both along the edges i -> j (a_ij > 0) and against them. The period of an
+    irreducible pattern is the gcd of level[i] + 1 - level[j] over its edges,
+    with level the BFS distance from node 0; a positive diagonal entry is a
+    cycle of length 1. For n = 1 this gives primitive iff a_11 > 0.
+    """
     pattern = a > 0
     level = _bfs_levels(pattern)
     if (level < 0).any() or (_bfs_levels(pattern.T) < 0).any():
@@ -93,28 +94,19 @@ def _complete_off_diagonal(a) -> bool:
 
 
 def has_positive_diagonal(M) -> bool:
-    return bool((np.diagonal(as_matrix(M).entries) > 0).all())
+    return classify(M).positive_diagonal
 
 
 def contraction_condition(M) -> tuple[bool, float | None]:
     """Check 2*m_ii > m_ij for every i, j; when it holds, return the constant
     C = max_{i,j} m_ij / (2*m_ii) < 1."""
-    a = _nonnegative_entries(M)
-    diag = np.diagonal(a)
-    return _contraction_condition(diag, _row_max(a)) if diag.min() > 0 else (False, None)
+    cls = _nonnegative(M)
+    return cls.contraction_condition, cls.contraction_constant
 
 
 def _row_max(a) -> np.ndarray:
     """a.max(axis=1) of the C-contiguous a, exactly, and 2-2.5x faster."""
     return np.maximum.reduceat(a.reshape(-1), np.arange(0, a.size, a.shape[0]))
-
-
-def _contraction_condition(diag, rows) -> tuple[bool, float | None]:
-    """contraction_condition from the positive diagonal and the row maxima."""
-    # Halving the quotient is exact and, unlike 2*m_ii, cannot overflow; row maxima first give the same c.
-    with np.errstate(over="ignore"):  # an overflowing quotient is >= 2: no contraction
-        c = 0.5 * float(np.maximum.reduce(rows / diag))
-    return (True, c) if c < 1.0 else (False, None)
 
 
 def perron_vector(M, tol: float = 1e-12, max_iter: int = 100000) -> tuple[PositiveVector, float]:
@@ -150,8 +142,9 @@ def classify(M) -> Classification:
     """Populate the full certificate, reported with every solve. It checks
     first that M is finite, which the solvers' prologue leaves to it, from
     the reductions it takes anyway: NaN and -inf show in the minimum, +inf in
-    the row maxima where the diagonal is positive, else in one maximum."""
-    a = as_matrix(M).entries
+    the row maxima where the diagonal is positive, else in one maximum. An
+    ndarray is read in place, as by the solvers' prologue."""
+    a = Matrix._view(M).entries
     lo = a.min()
     diag = np.diagonal(a)
     positive_diagonal = bool(lo > 0 or diag.min() > 0)
@@ -164,7 +157,14 @@ def classify(M) -> Classification:
     complete = bool(lo > 0 or nonnegative and _complete_off_diagonal(a))
     has_zero_row = not (positive_diagonal or complete or a.any(axis=1).all())
     primitive = complete or (nonnegative and _is_primitive(a))
-    condition, constant = _contraction_condition(diag, rows) if nonnegative and positive_diagonal else (False, None)
+    condition, constant = False, None
+    if nonnegative and positive_diagonal:
+        # Halving the quotient is exact and, unlike 2*m_ii, cannot overflow;
+        # row maxima first give the same c.
+        with np.errstate(over="ignore"):  # an overflowing quotient is >= 2: no contraction
+            c = 0.5 * float(np.maximum.reduce(rows / diag))
+        if c < 1.0:
+            condition, constant = True, c
     return Classification(
         nonnegative=nonnegative,
         positive_diagonal=positive_diagonal,

@@ -33,11 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--format", choices=["csv", "json"], default="csv")
     p_solve.add_argument("--tol", type=float, default=1e-12)
     p_solve.add_argument("--max-iter", type=int, default=10000)
-    p_solve.add_argument(
-        "--method",
-        choices=[m.replace("_", "-") for m in METHODS],
-        default="auto",
-    )
+    p_solve.add_argument("--method", choices=METHODS, default="auto")
     p_solve.add_argument("--output", choices=["json", "tsv"], default="json")
     p_solve.add_argument("--trace", action="store_true", help="include the residual trace")
 
@@ -64,11 +60,7 @@ def _load_matrix(args):
 
 def _run_solve(args) -> int:
     mtx = _load_matrix(args)
-    config = SolverConfig(
-        tol=args.tol,
-        max_iter=args.max_iter,
-        method=args.method.replace("-", "_"),
-    )
+    config = SolverConfig(tol=args.tol, max_iter=args.max_iter, method=args.method)
     try:
         result = solve(mtx, config)
     except ConvergenceError as err:

@@ -17,7 +17,7 @@ class Matrix:
 
     Entries must be finite. Negative entries are representable (classification
     reports nonnegativity and the solvers reject it); NaN and infinity are not.
-    The one exception is _view, the solvers' prologue: its Matrix holds
+    The one exception is _view, with which classify opens: its Matrix holds
     unchecked entries until classify has checked them.
     The entries are a copy, so later writes to the argument do not show; C
     order makes every product with M independent of the argument's layout.
@@ -32,12 +32,12 @@ class Matrix:
 
     @classmethod
     def _view(cls, entries):
-        """The solvers' prologue: a Matrix as is, a C-contiguous float64
-        ndarray through a read-only view of it (no n x n copy; the caller's
-        array stays writeable), anything else copied as by Matrix(entries).
-        It checks the shape only; classify checks finiteness next, so a solve
-        makes no n x n temporary. The caller must not write to the array
-        while the solve runs."""
+        """classify's entry, and the solvers' prologue: a Matrix as is, a
+        C-contiguous float64 ndarray through a read-only view of it (no n x n
+        copy; the caller's array stays writeable), anything else copied as by
+        Matrix(entries). It checks the shape only; classify checks finiteness
+        next, so a solve makes no n x n temporary. The caller must not write
+        to the array while the solve runs."""
         if isinstance(entries, cls):
             return entries
         mtx = cls.__new__(cls)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .core import PositiveVector, as_matrix
+from .core import PositiveVector, _as_vector_array, as_matrix
 from .errors import DimensionError, NonNegativityError, ValidationError, ZeroRowError
 
 
@@ -64,10 +64,9 @@ def b_value(ctx: RowContext, others) -> float:
 def f_value(ctx: RowContext, others) -> float:
     """Unique positive root of m_ii*t^2 + b_i*t - 1 = 0 at the given point."""
     b = b_value(ctx, others)
-    root = _kernels.positive_root(ctx.diagonal, b)
-    if np.isnan(root):
+    if ctx.diagonal == 0.0 and b <= 0.0:
         raise ZeroRowError(ctx.row_index)
-    return float(root)
+    return float(_kernels.positive_root(ctx.diagonal, b))
 
 
 def f_gradient(ctx: RowContext, others) -> np.ndarray:
@@ -97,9 +96,7 @@ def F_map(M, x) -> PositiveVector:
     mtx = as_matrix(M)
     if (mtx.entries < 0).any():
         raise NonNegativityError("the update map is defined for nonnegative matrices only")
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 1 or a.shape[0] != mtx.n:
-        raise DimensionError(f"vector has shape {a.shape}, expected ({mtx.n},)")
+    a = _as_vector_array(x, mtx.n)
     if (a < 0).any():
         raise ValidationError("the update map takes nonnegative coordinates")
     out = np.empty(mtx.n)
@@ -112,7 +109,4 @@ def F_map(M, x) -> PositiveVector:
 def residual(M, x) -> float:
     """Infinity-norm defect of the quadratic system: max_i |x_i*(Mx)_i - 1|."""
     mtx = as_matrix(M)
-    xa = np.asarray(x, dtype=np.float64)
-    if xa.ndim != 1 or xa.shape[0] != mtx.n:
-        raise DimensionError(f"vector has shape {xa.shape}, expected ({mtx.n},)")
-    return float(_kernels.residual_inf(mtx.entries, xa))
+    return float(_kernels.residual_inf(mtx.entries, _as_vector_array(x, mtx.n)))

@@ -20,13 +20,15 @@ range. Once its arguments and the method's precondition are checked, no
 solver raises a ValidationError.
 
 The contraction and bracket solvers iterate the update map F through one
-loop, _iterate; the bracket hands a stalled box to Newton. Every public solver
-opens with _prepare, which classifies the matrix once and validates it from
-that Classification; the solver passes it down. It reads a C-contiguous
-float64 ndarray through a read-only view, and classify checks finiteness from
-its own reductions, so a solve makes no n x n copy or temporary. Every loop
-reads the residual of the point it returns, and the result takes it from
-there: SolveResult.residual is trace[-1].
+loop, _bracket: the paper's nested boxes, whose newest corner is the
+contraction iterate. The bracket reads the residual at the box midpoint,
+contraction at the newest corner, and both hand a stalled box to Newton.
+Every public solver opens with _prepare, which classifies the matrix once
+and validates it from that Classification; the solver passes it down. It
+reads a C-contiguous float64 ndarray through a read-only view, and classify
+checks finiteness from its own reductions, so a solve makes no n x n copy or
+temporary. Every loop reads the residual of the point it returns, and the
+result takes it from there: SolveResult.residual is trace[-1].
 """
 
 from __future__ import annotations
@@ -189,6 +191,11 @@ def solve_auto(M, config: SolverConfig | None = None) -> SolveResult:
 def solve_contraction(M, config: SolverConfig | None = None) -> SolveResult:
     """Iterate x <- F(x) from x0 = F(0); sound when F contracts.
 
+    These iterates are the corners of the bracket's nested boxes, so this is
+    the bracket with its residual read at the newest corner, from F(0) on,
+    instead of at the box midpoint. It shares the bracket's stall rule, which
+    fires only where tol is out of reach, and its hand-off to Newton.
+
     The Banach a-posteriori bound would allow stopping once the successive
     gap falls below tol*(1-C)/C, but that controls distance to the fixed
     point, not the residual; the residual is the authoritative stop so that
@@ -199,12 +206,7 @@ def solve_contraction(M, config: SolverConfig | None = None) -> SolveResult:
         raise ContractionPreconditionError(
             "2*m_ii > m_ij fails for some pair; the iteration has no contraction certificate"
         )
-    x = np.empty(mtx.n)
-    _kernels.f_apply(mtx.entries, np.zeros(mtx.n), x)  # cannot fail: diagonal is positive
-    x, iterations, trace, reason, _ = _iterate(mtx, config, x)
-    if reason != "converged":
-        raise _convergence_error(x, iterations, "contraction", trace, cls)
-    return _result(x, iterations, "contraction", trace, True, cls)
+    return _bracket(mtx, cls, config, method="contraction")
 
 
 def solve_bracket(M, config: SolverConfig | None = None, *, bracket_log=None) -> SolveResult:
@@ -223,96 +225,74 @@ def solve_bracket(M, config: SolverConfig | None = None, *, bracket_log=None) ->
     return _bracket(mtx, cls, config, bracket_log)
 
 
-def _bracket(mtx, cls, config, bracket_log=None) -> SolveResult:
-    lower = np.zeros(mtx.n)
-    upper = np.empty(mtx.n)
+def _bracket(mtx, cls, config, bracket_log=None, method="bracket") -> SolveResult:
+    """The one loop over F: the nested boxes from (0, F(0)), each new iterate
+    replacing the corner on its own side (F is decreasing, so the iterates
+    alternate around the fixed point). The bracket reads its residual at the
+    box midpoint; contraction reads it at F(0), then at the newest corner.
+
+    The loop stops once the residual is at most config.tol (a NaN residual
+    never counts), when the budget is spent, or when the box width fails to
+    shrink below STALL_RATIO times the last one for STALL_ROUNDS rounds in a
+    row (a box collapsed to a point included). It never compares a width with
+    tol, so it obeys the scale law. Newton finishes a stalled box from the
+    point last read. bracket_log, when a list, receives a BracketState per box.
+    """
+    m = mtx.entries
+    n = mtx.n
+    lower = np.zeros(n)
+    upper = np.empty(n)
     # At the origin F is undefined exactly on the rows with a zero diagonal.
-    i = _kernels.f_apply(mtx.entries, lower, upper)
+    i = _kernels.f_apply(m, lower, upper)
     if i >= 0:
         raise ZeroRowError(
             i,
             f"bracketing starts at the zero vector, where row {i} (zero diagonal) "
             "has no positive root; use auto or newton instead",
         )
-    mid, iterations, trace, reason, gap = _iterate(mtx, config, upper, lower=lower, bracket_log=bracket_log)
-    if reason == "converged":
-        return _result(mid, iterations, "bracket", trace, True, cls)
-    if reason == "budget":
-        raise _convergence_error(mid, iterations, "bracket", trace, cls)
-    # Stalled: a 2-cycle, a contraction rate near 1, or a box tighter than the
-    # residual scale allows. Newton finishes from the midpoint with the
-    # remaining budget; the result counts the iterations of both phases.
-    best = _result(mid, iterations, "bracket", trace, False, cls)
-    rest = replace(config, max_iter=max(1, config.max_iter - iterations))
-    try:
-        fin = solve_newton(mtx, best.x, rest, _cls=cls)
-    except ConvergenceError as err:
-        raise ConvergenceError(
-            f"bracket stalled at gap {gap:.3e} and the Newton fallback failed: {err}", result=best
-        ) from err
-    return replace(fin, iterations=iterations + fin.iterations, trace=np.concatenate([trace, fin.trace]))
-
-
-@np.errstate(over="ignore", invalid="ignore")  # an inf or NaN residual never converges
-def _iterate(mtx, config, x, *, lower=None, bracket_log=None):
-    """Iterate x <- F(x) until the residual is at most config.tol.
-
-    With lower, (lower, x) is the first nested box: each new iterate replaces
-    the corner on its own side (F is decreasing, so the iterates alternate
-    around the fixed point) and the residual is read at the box midpoint.
-    The loop then gives up when the box width fails to shrink below
-    STALL_RATIO times the last one for STALL_ROUNDS rounds in a row (a box
-    collapsed to a point included); it never compares a width with tol, so it
-    obeys the scale law. bracket_log, when a list, receives a BracketState
-    per box. Without lower (the contraction path, which has a certificate)
-    the residual is read at the latest iterate and no width is computed.
-
-    Returns (point, iterations, trace, reason, gap): reason is "converged"
-    (only if trace[-1] <= tol: a NaN residual never counts), "stalled" or
-    "budget"; point is the last box midpoint or the last iterate, whose
-    residual is trace[-1]; gap is the last box width.
-    """
-    m = mtx.entries
-    n = mtx.n
-    box = lower is not None
-    if box:
-        upper = x
-        if bracket_log is not None:
-            bracket_log.append(BracketState(lower.copy(), upper.copy()))
-        r = np.inf
-        trace = []
-    else:
-        r = float(_kernels.residual_inf(m, x))
-        trace = [r]
-    point = x
+    if bracket_log is not None:
+        bracket_log.append(BracketState(lower.copy(), upper.copy()))
+    corner = method == "contraction"
+    x = point = upper
+    r = float(_kernels.residual_inf(m, x)) if corner else np.inf
+    trace = [r] if corner else []
     iterations = 0
     gap = np.inf
     stall = 0
-    while not r <= config.tol:
-        if stall >= STALL_ROUNDS:
-            return point, iterations, trace, "stalled", gap
-        if iterations >= config.max_iter:
-            return point, iterations, trace, "budget", gap
-        nxt = np.empty(n)
-        _kernels.f_apply(m, x, nxt)  # defined everywhere: the diagonal is positive
-        x = nxt
-        iterations += 1
-        if box:
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN residual never converges
+        while not r <= config.tol and stall < STALL_ROUNDS:
+            if iterations >= config.max_iter:
+                raise _convergence_error(point, iterations, method, trace, cls)
+            nxt = np.empty(n)
+            _kernels.f_apply(m, x, nxt)  # defined everywhere: the diagonal is positive
+            x = nxt
+            iterations += 1
             if iterations % 2:
                 lower = x
             else:
                 upper = x
             if bracket_log is not None:
                 bracket_log.append(BracketState(lower.copy(), upper.copy()))
-            point = 0.5 * (lower + upper)
+            point = x if corner else 0.5 * (lower + upper)
             width = float((upper - lower).max())
             stall = stall + 1 if width >= STALL_RATIO * gap else 0
             gap = width
-        else:
-            point = x
-        r = float(_kernels.residual_inf(m, point))
-        trace.append(r)
-    return point, iterations, trace, "converged", gap
+            r = float(_kernels.residual_inf(m, point))
+            trace.append(r)
+    if r <= config.tol:
+        return _result(point, iterations, method, trace, True, cls)
+    # Stalled: a 2-cycle, a contraction rate near 1, or a box tighter than the
+    # residual scale allows. Newton finishes from the point last read with the
+    # remaining budget; the result counts the iterations of both phases.
+    best = _result(point, iterations, method, trace, False, cls)
+    rest = replace(config, max_iter=max(1, config.max_iter - iterations))
+    try:
+        fin = solve_newton(mtx, best.x, rest, _cls=cls)
+    except ConvergenceError as err:
+        raise ConvergenceError(
+            f"{method} stalled at gap {gap:.3e} and the Newton fallback failed: {err}", result=best
+        ) from err
+    return replace(fin, iterations=iterations + fin.iterations, trace=np.concatenate([trace, fin.trace]))
 
 
 def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -> SolveResult:

@@ -12,8 +12,10 @@ from inversepoint import (
     SolverConfig,
     ValidationError,
     classify,
+    contraction_condition,
     diag_sandwich,
     inverse_elementwise,
+    is_primitive,
     matvec,
     multistart_uniqueness,
     solve,
@@ -68,21 +70,38 @@ def _peak_bytes(run):
         tracemalloc.stop()
 
 
+def _large(kind, n=300):
+    a = np.random.default_rng(8).uniform(0.5, 1.0, (n, n))
+    if kind == "zero_diagonal":
+        a = a + a.T
+        np.fill_diagonal(a, 0.0)
+    return a
+
+
 @pytest.mark.parametrize("kind", ["positive", "zero_diagonal"])
 def test_a_solve_makes_no_n_by_n_temporary(kind):
     # An n x n float64 is 8n^2 bytes and an n x n bool n^2; a solve that
     # the sweep settles allocates only vectors. Checking finiteness with
     # np.isfinite(M) peaked at 1.02 n^2 bytes here.
-    n = 300
-    a = np.random.default_rng(8).uniform(0.5, 1.0, (n, n))
-    if kind == "zero_diagonal":
-        a = a + a.T
-        np.fill_diagonal(a, 0.0)
+    a = _large(kind)
+    n = a.shape[0]
     solve(a)  # numpy's own one-time allocations are not the solve's
     res, peak = _peak_bytes(lambda: solve(a))
     assert res.converged and res.iterations == 0
     assert peak < n * n / 2, peak
     assert not res.x.values.flags.writeable
+
+
+@pytest.mark.parametrize("kind", ["positive", "zero_diagonal"])
+@pytest.mark.parametrize("entry", [classify, is_primitive, contraction_condition], ids=lambda f: f.__name__)
+def test_the_hypothesis_checks_make_no_n_by_n_temporary(entry, kind):
+    # They read M in place, as a solve does: copying it costs 8n^2 bytes.
+    a = _large(kind)
+    n = a.shape[0]
+    entry(a)
+    _, peak = _peak_bytes(lambda: entry(a))
+    assert peak < n * n / 2, peak
+    assert a.flags.writeable
 
 
 def test_the_result_does_not_alias_the_callers_start():

@@ -140,6 +140,15 @@ def test_F_map_rejects_negative_inputs():
         F_map(Matrix(np.eye(2)), [1.0, -1.0])
 
 
+def test_F_map_and_residual_reject_a_misshapen_vector():
+    m = Matrix(np.eye(3))
+    for call in (F_map, residual):
+        with pytest.raises(DimensionError, match=r"expected a 1-d vector, got shape \(3, 1\)"):
+            call(m, np.ones((3, 1)))
+        with pytest.raises(DimensionError, match="vector has length 2, expected 3"):
+            call(m, [1.0, 1.0])
+
+
 def test_F_map_is_antitone_exactly():
     # x <= y componentwise implies F(y) <= F(x), exactly in floating point:
     # the row sums are monotone and the root formula is monotone in b.

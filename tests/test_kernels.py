@@ -32,7 +32,6 @@ def test_positive_root_satisfies_quadratic():
         t = _kernels.positive_root(mii, b)
         assert t > 0
         assert abs(mii * t * t + b * t - 1.0) <= 1e-12 * (1.0 + b + mii)
-    assert np.isnan(_kernels.positive_root(0.0, 0.0))
 
 
 def test_f_apply_matches_per_row_positive_root():

@@ -196,11 +196,69 @@ def test_solve_contraction_budget_error_carries_best(triangular):
 def test_a_nan_residual_never_counts_as_converged(triangular, monkeypatch):
     # NaN compares false with everything, so "r > tol" would read it as done.
     monkeypatch.setattr(inversepoint._kernels, "residual_inf", lambda m, x: float("nan"))
-    res = solve_bracket(triangular)
-    assert (res.method_used, res.converged) == ("newton", True)
-    assert res.residual <= 1e-12
+    # Both loops run until the box collapses, and Newton, which reads its own
+    # defect, finishes; a budget below the collapse is spent instead.
+    for solver in (solve_bracket, solve_contraction):
+        res = solver(triangular)
+        assert (res.method_used, res.converged) == ("newton", True)
+        assert res.residual <= 1e-12
     with pytest.raises(ConvergenceError, match="budget exhausted"):
-        solve_contraction(triangular, SolverConfig(max_iter=50))
+        solve_contraction(triangular, SolverConfig(max_iter=5))
+
+
+def _contraction_by_hand(m):
+    """solve_contraction at the default config, written out with the public
+    F_map: x <- F(x) from F(0), the residual read at every iterate."""
+    x = F_map(m, np.zeros(m.n)).values
+    trace = [residual(m, x)]
+    while trace[-1] > 1e-12 and len(trace) <= 10000:
+        x = F_map(m, x).values
+        trace.append(residual(m, x))
+    return x, trace
+
+
+def test_contraction_is_the_plain_iteration_bitwise():
+    rng = np.random.default_rng(41)
+    for _ in range(50):
+        m = random_contraction(rng, int(rng.integers(2, 9)))
+        res = solve_contraction(m)
+        x, trace = _contraction_by_hand(m)
+        assert res.converged and res.iterations == len(trace) - 1
+        assert res.x.values.tobytes() == x.tobytes()
+        assert res.trace.tobytes() == np.array(trace).tobytes()
+
+
+def test_contraction_iterates_are_the_bracket_corners():
+    # Round k of the bracket puts F^(k+1)(0) on one side of the box: the
+    # contraction iterate of round k. At a tol out of reach the bracket runs
+    # on until its box collapses, past the round where contraction stops.
+    rng = np.random.default_rng(42)
+    for _ in range(20):
+        m = random_contraction(rng, int(rng.integers(2, 9)))
+        res = solve_contraction(m)
+        log = []
+        try:
+            solve_bracket(m, SolverConfig(tol=1e-300), bracket_log=log)
+        except ConvergenceError:
+            pass
+        newest = [box.lower if k % 2 else box.upper for k, box in enumerate(log)]
+        assert len(newest) > res.iterations
+        assert newest[res.iterations].tobytes() == res.x.values.tobytes()
+        x = F_map(m, np.zeros(m.n)).values
+        for corner in newest[: res.iterations + 1]:
+            assert corner.tobytes() == x.tobytes()
+            x = F_map(m, x).values
+
+
+def test_contraction_hands_a_collapsed_box_to_newton():
+    # F is constant on a 1x1, so the box collapses in the first round. Below
+    # rounding the residual never meets tol: STALL_ROUNDS rounds later the
+    # loop hands over to Newton, which cannot meet it either.
+    with pytest.raises(ConvergenceError, match=r"^contraction stalled at gap 0\.000e\+00 and the Newton") as err:
+        solve_contraction([[2.0]], SolverConfig(tol=1e-20))
+    best = err.value.result
+    assert (best.method_used, best.iterations, best.converged) == ("contraction", 1 + STALL_ROUNDS, False)
+    assert best.x.values.tobytes() == F_map([[2.0]], [0.0]).values.tobytes()
 
 
 def test_solve_contraction_rejects_counterexample(counterexample):

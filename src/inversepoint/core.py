@@ -123,10 +123,7 @@ def matvec(M, v) -> np.ndarray:
 def diag_sandwich(M, x) -> Matrix:
     """diag(x) * M * diag(x): entry (i, j) becomes x_i * m_ij * x_j."""
     mtx = as_matrix(M)
-    xv = as_positive_vector(x)
-    if len(xv) != mtx.n:
-        raise DimensionError(f"vector has length {len(xv)}, expected {mtx.n}")
-    vals = xv.values
+    vals = _as_vector_array(as_positive_vector(x).values, mtx.n)
     return Matrix(vals[:, None] * mtx.entries * vals[None, :])
 
 

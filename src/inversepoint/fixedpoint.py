@@ -47,43 +47,40 @@ class RowContext:
         return cls(row_index=i, diagonal=float(row[i]), off_diagonal=off)
 
 
-def _others_array(ctx: RowContext, others) -> np.ndarray:
-    a = np.asarray(others, dtype=np.float64)
-    if a.ndim != 1 or a.shape[0] != ctx.off_diagonal.shape[0]:
-        raise DimensionError(
-            f"expected {ctx.off_diagonal.shape[0]} other coordinates, got shape {a.shape}"
-        )
+def _point(x, n: int) -> np.ndarray:
+    """x as a 1-d array of n finite, nonnegative coordinates."""
+    a = _as_vector_array(x, n)
+    if not ((a >= 0.0) & (a < np.inf)).all():
+        raise ValidationError("coordinates must be finite and nonnegative")
     return a
 
 
-def b_value(ctx: RowContext, others) -> float:
-    """The x_i coefficient: sum over j != i of m_ij * x_j."""
-    return float(np.dot(ctx.off_diagonal, _others_array(ctx, others)))
-
-
-def f_value(ctx: RowContext, others) -> float:
-    """Unique positive root of m_ii*t^2 + b_i*t - 1 = 0 at the given point."""
-    b = b_value(ctx, others)
+def _root(ctx: RowContext, b: float) -> float:
+    """The positive root of m_ii*t^2 + b*t - 1 = 0, which needs m_ii > 0 or b > 0."""
     if ctx.diagonal == 0.0 and b <= 0.0:
         raise ZeroRowError(ctx.row_index)
     return float(_kernels.positive_root(ctx.diagonal, b))
 
 
-def f_gradient(ctx: RowContext, others) -> np.ndarray:
-    """Gradient of f_i with respect to the other coordinates.
+def b_value(ctx: RowContext, others) -> float:
+    """The x_i coefficient: sum over j != i of m_ij * x_j."""
+    return float(np.dot(ctx.off_diagonal, _point(others, ctx.off_diagonal.shape[0])))
 
-    Zero-diagonal branch: -b^-2 * (m_ij); otherwise
-    (1/(2 m_ii)) * (b/sqrt(b^2 + 4 m_ii) - 1) * (m_ij).
+
+def f_value(ctx: RowContext, others) -> float:
+    """Unique positive root of m_ii*t^2 + b_i*t - 1 = 0 at the given point."""
+    return _root(ctx, b_value(ctx, others))
+
+
+def f_gradient(ctx: RowContext, others) -> np.ndarray:
+    """Gradient of f_i with respect to the other coordinates: -t/(2 m_ii t + b)
+    times (m_ij) at the root t, from differentiating m_ii*t^2 + b*t = 1. The
+    denominator adds positive terms, so nothing cancels; m_ii = 0 gives -1/b^2.
     Every component is <= 0: raising any other coordinate lowers the root.
     """
     b = b_value(ctx, others)
-    if ctx.diagonal == 0.0:
-        if b <= 0.0:
-            raise ZeroRowError(ctx.row_index)
-        scale = -1.0 / (b * b)
-    else:
-        scale = (b / np.sqrt(b * b + 4.0 * ctx.diagonal) - 1.0) / (2.0 * ctx.diagonal)
-    return scale * ctx.off_diagonal
+    t = _root(ctx, b)
+    return -t / (2.0 * ctx.diagonal * t + b) * ctx.off_diagonal
 
 
 def F_map(M, x) -> PositiveVector:
@@ -96,9 +93,7 @@ def F_map(M, x) -> PositiveVector:
     mtx = as_matrix(M)
     if (mtx.entries < 0).any():
         raise NonNegativityError("the update map is defined for nonnegative matrices only")
-    a = _as_vector_array(x, mtx.n)
-    if (a < 0).any():
-        raise ValidationError("the update map takes nonnegative coordinates")
+    a = _point(x, mtx.n)
     out = np.empty(mtx.n)
     bad = _kernels.f_apply(mtx.entries, a, out)
     if bad >= 0:

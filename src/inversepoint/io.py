@@ -24,6 +24,12 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _json_num(v: float) -> str:
+    """_fmt for JSON, which has no inf or NaN: +-1e999 (read back as +-inf), null."""
+    s = _fmt(v)
+    return {"inf": "1e999", "-inf": "-1e999", "nan": "null"}.get(s, s)
+
+
 def _check_entry(v: float, line: int | None, column: int | None) -> float:
     if not np.isfinite(v):
         raise ValidationError(f"entry is not finite: {v!r}", line=line, column=column)
@@ -158,13 +164,13 @@ def emit_result(result, fmt: str = "json", matrix=None, include_trace: bool = Fa
             lines.extend(f"trace\t{_fmt(v)}" for v in trace)
         return "\n".join(lines) + "\n"
     if matrix is not None:
-        cert = certify(as_matrix(matrix), result.x)
-        row_sums = "[" + ",".join(_fmt(v) for v in cert.row_sums) + "]"
+        cert = certify(matrix, result.x)
+        row_sums = "[" + ",".join(_json_num(v) for v in cert.row_sums) + "]"
     else:
         row_sums = "null"
     bits = [
         '"x":[' + ",".join(_fmt(v) for v in xs) + "]",
-        f'"residual":{_fmt(result.residual)}',
+        f'"residual":{_json_num(result.residual)}',
         f'"iterations":{result.iterations}',
         f'"method":"{result.method_used}"',
         f'"converged":{str(result.converged).lower()}',
@@ -172,5 +178,5 @@ def emit_result(result, fmt: str = "json", matrix=None, include_trace: bool = Fa
         f'"row_sums":{row_sums}',
     ]
     if trace is not None:
-        bits.append('"trace":[' + ",".join(_fmt(v) for v in trace) + "]")
+        bits.append('"trace":[' + ",".join(_json_num(v) for v in trace) + "]")
     return "{" + ",".join(bits) + "}\n"

@@ -12,6 +12,7 @@ from helpers import wide_range_draws
 import inversepoint
 from inversepoint import ConvergenceError, InversePointError, ValidationError, ZeroRowError, solve
 from inversepoint.cli import main
+from inversepoint.io import emit_matrix
 from inversepoint.solver import METHODS
 
 TRIANGULAR_CSV = "1,0,0\n1,1,0\n1,1,1\n"
@@ -35,10 +36,13 @@ def write(tmp_path, name, text):
 
 def child_env():
     """Environment in which a child interpreter imports the same inversepoint
-    as this process, also when only pytest's pythonpath setting found it."""
+    as this process, also when only pytest's pythonpath setting found it, and
+    turns a RuntimeWarning into an error, as pyproject's filterwarnings does
+    here."""
     src = str(Path(inversepoint.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     return env
 
 
@@ -112,6 +116,18 @@ def test_solve_solution_outside_the_double_range_exit_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "solve", "--input", write(tmp_path, "wide.csv", text))
     assert (code, out) == (2, "")
     assert "outside the double range" in err
+
+
+def test_solve_best_iterate_whose_certificate_overflows_exit_2(tmp_path, capsys):
+    # A finite positive 3x3 whose failed best iterate x ~ (9e97, 5e-144,
+    # 2e-159) makes diag(x) M diag(x) overflow: infinite defects, not bad input.
+    path = write(tmp_path, "wide9.csv", emit_matrix(wide_range_draws()[9]))
+    code, out, err = run_cli(capsys, "solve", "--input", path)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["converged"] is False
+    assert payload["residual"] == np.inf and payload["row_sums"][0] == np.inf
+    assert "stalled" in err
 
 
 def test_every_exported_error_is_in_exactly_one_family():

@@ -11,6 +11,7 @@ from inversepoint import (
     PositiveVector,
     SolverConfig,
     ValidationError,
+    certify,
     classify,
     contraction_condition,
     diag_sandwich,
@@ -55,6 +56,7 @@ def test_every_entry_point_rejects_nonfinite_entries(a):
     # maximum. A check that caught NaN alone would let both infinities through.
     calls = [classify, lambda m: multistart_uniqueness(m, starts=2)]
     calls += [lambda m, k=k: solve(m, SolverConfig(method=k)) for k in ("auto", "bracket", "contraction", "newton")]
+    calls.append(lambda m: certify(m, np.ones(len(m))))
     for given in (a, a.tolist()):
         for call in calls:
             with pytest.raises(ValidationError, match=r"^matrix entries must be finite \(no NaN or infinity\)$"):

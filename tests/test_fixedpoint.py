@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from inversepoint import (
     Matrix,
     NonNegativityError,
     RowContext,
+    ValidationError,
     ZeroRowError,
     b_value,
     f_gradient,
@@ -106,6 +108,44 @@ def test_f_gradient_matches_finite_differences():
             e[j] = h
             fd = (f_value(c, others + e) - f_value(c, others - e)) / (2 * h)
             assert abs(fd - grad[j]) <= 1e-5 * abs(grad[j])
+
+
+def _exact_gradient(d, b):
+    """-t/(2 d t + b) at the positive root t of d*t^2 + b*t = 1, to 60 digits."""
+    with decimal.localcontext() as context:
+        context.prec = 60
+        d, b = decimal.Decimal(d), decimal.Decimal(b)
+        t = 2 / (b + (b * b + 4 * d).sqrt())
+        return float(-t / (2 * d * t + b))
+
+
+def test_f_gradient_is_accurate_to_rounding():
+    # The textbook (b/sqrt(b^2 + 4d) - 1)/(2d) cancels for b^2 >> d: at d = 1,
+    # b = 1e8 it gives -5.55e-17 where the derivative is -1e-16.
+    rng = np.random.default_rng(20)
+    worst, checked = 0.0, 0
+    for _ in range(4000):
+        d, b = 10.0 ** rng.uniform(-150, 150, 2)
+        if rng.random() < 0.1:
+            d = 0.0
+        exact = _exact_gradient(d, b)
+        if not np.finfo(float).tiny <= abs(exact) < np.inf:
+            continue
+        got = f_gradient(ctx(0, d, [1.0]), [b])[0]
+        worst = max(worst, abs(got - exact) / abs(exact))
+        checked += 1
+    assert checked > 3000
+    assert worst <= 1e-15
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0], ids=["nan", "inf", "-inf", "negative"])
+def test_per_row_functions_and_F_map_reject_a_bad_coordinate(bad):
+    message = "^coordinates must be finite and nonnegative$"
+    for call in (b_value, f_value, f_gradient):
+        with pytest.raises(ValidationError, match=message):
+            call(ctx(0, 1.0, [1.0, 2.0]), [1.0, bad])
+    with pytest.raises(ValidationError, match=message):
+        F_map(Matrix(np.eye(3)), [1.0, bad, 1.0])
 
 
 def test_F_map_identity_is_all_ones():

@@ -1,12 +1,16 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import TRIANGULAR_X
+from helpers import wide_range_draws
 from inversepoint import (
+    ConvergenceError,
     Matrix,
     ParseError,
+    SolverConfig,
     ValidationError,
     classify,
     emit_classification,
@@ -167,3 +171,29 @@ def test_float_formatting_round_trips():
     for _ in range(500):
         v = float(np.exp(rng.uniform(-300, 300)) * rng.choice([1, -1]))
         assert float(_fmt(v)) == v
+
+
+def test_every_failed_wide_range_result_emits_parseable_json():
+    # JSON has no inf or NaN: emit_result writes them as +-1e999 and null.
+    # Among these 67 failed results, 27 have a certificate or residual that
+    # overflows.
+    emitted = 0
+    for m in wide_range_draws():
+        for method in ("auto", "newton", "bracket"):
+            try:
+                solve(m, SolverConfig(method=method))
+                continue
+            except ConvergenceError as err:
+                if err.result is None:
+                    continue
+                payload = json.loads(emit_result(err.result, "json", matrix=m))
+            assert payload["converged"] is False
+            emitted += 1
+    assert emitted == 67
+
+
+def test_emit_result_json_writes_non_finite_numbers_as_json():
+    res = replace(solve(Matrix([[1.0]])), residual=np.nan, trace=np.array([np.inf, -np.inf, 0.5]))
+    out = emit_result(res, "json", include_trace=True)
+    assert '"residual":null' in out and '"trace":[1e999,-1e999,0.5]' in out
+    assert json.loads(out)["trace"] == [np.inf, -np.inf, 0.5]

@@ -1,8 +1,8 @@
 import numpy as np
 
 from conftest import TRIANGULAR_X
-from helpers import random_positive_diagonal
-from inversepoint import Matrix, certify, solve
+from helpers import random_contraction, random_positive_diagonal, random_primitive
+from inversepoint import Matrix, certify, diag_sandwich, matvec, residual, solve
 
 
 def test_certify_identity_all_zero():
@@ -56,3 +56,29 @@ def test_scaling_consistency_on_converged_results(triangular, zero_diag, curves_
         assert cert.max_row_sum_defect <= bound
         assert cert.eq2_defect <= bound
         assert cert.inverse_defect <= bound
+
+
+def test_certify_equals_the_sandwich_and_the_residuals(triangular, zero_diag):
+    # certify computes from M and x directly; it must agree bitwise with the
+    # public helpers that say what each defect means.
+    rng = np.random.default_rng(43)
+    mats = [triangular, zero_diag, random_positive_diagonal(rng, 150)]
+    for recipe in (random_positive_diagonal, random_primitive, random_contraction):
+        mats += [recipe(rng, int(rng.integers(2, 12))) for _ in range(10)]
+    for m in mats:
+        x = solve(m).x
+        cert = certify(m, x)
+        assert np.array_equal(cert.row_sums, diag_sandwich(m, x).entries.sum(axis=1))
+        assert cert.eq2_defect == residual(m, x)
+        assert cert.inverse_defect == float(np.max(np.abs(matvec(m, x) - 1.0 / x.values)))
+
+
+def test_certify_reports_an_overflowing_product_as_infinite_defects():
+    # M and x are both valid; diag(x) M diag(x) and Mx overflow.
+    cert = certify(Matrix([[1e300, 1.0], [1.0, 1.0]]), [1e10, 1.0])
+    assert np.isinf(cert.row_sums[0]) and cert.row_sums[1] == 1e10 + 1.0
+    assert np.isinf([cert.max_row_sum_defect, cert.eq2_defect, cert.inverse_defect]).all()
+    # Mx overflows where 1/x does (a subnormal x_0), and two overflows of
+    # opposite sign meet in a row sum: NaN, not a RuntimeWarning.
+    assert np.isnan(certify([[1.0, 1e300], [1.0, 1.0]], [1e-310, 1e10]).inverse_defect)
+    assert np.isnan(certify([[1e300, -1e300], [1.0, 1.0]], [1e10, 1e10]).row_sums[0])

@@ -5,6 +5,15 @@
 All kernels operate on raw float64 ndarrays and never raise; failure is
 reported through sentinel return values that the wrapping modules translate
 into package exceptions.
+
+vmax and vmin reduce a vector as v[v.argmax()] and v[v.argmin()]: the same
+value as v.max() and v.min(), the first NaN included, and on a bool vector
+the same as any() and all(). A ufunc reduction spends 1.2-1.6 us on set-up,
+an arg-reduction 0.4-0.7 us, and a small solve reduces a vector about twenty
+times. Reductions over M's n^2 entries stay ufunc reductions: numpy's
+argmin and argmax copy a read-only array first, and the solvers read M
+through a read-only view. At a tie of +0.0 and -0.0 the helpers return the
+first where a ufunc reduction may return the other; no caller reduces a -0.0.
 """
 
 from __future__ import annotations
@@ -12,6 +21,16 @@ from __future__ import annotations
 import numpy as np
 
 BACKEND = "numpy"
+
+
+def vmax(v):
+    """v.max() of a nonempty vector, or v.any() of a bool one."""
+    return v[v.argmax()]
+
+
+def vmin(v):
+    """v.min() of a nonempty vector, or v.all() of a bool one."""
+    return v[v.argmin()]
 
 
 def positive_root(d, b):
@@ -29,18 +48,19 @@ def f_apply(m, x, out) -> int:
     """Apply the per-row root update: out_i = root of row i given the other
     coordinates of x. Returns -1, or the first row where the root is undefined
     (zero diagonal and zero off-diagonal contribution)."""
-    d = np.diagonal(m)
+    d = m.diagonal()
     b = m.dot(x) - d * x
     bad = (d == 0.0) & (b <= 0.0)
-    if bad.any():
-        return int(np.nonzero(bad)[0][0])
+    i = int(bad.argmax())
+    if bad[i]:
+        return i
     out[:] = positive_root(d, b)
     return -1
 
 
 def residual_inf(m, x) -> float:
     """max_i |x_i * (Mx)_i - 1|."""
-    return float(np.abs(x * m.dot(x) - 1.0).max())
+    return float(vmax(np.abs(x * m.dot(x) - 1.0)))
 
 
 def quad_defect(m, x) -> tuple[np.ndarray, np.ndarray]:
@@ -93,6 +113,6 @@ def krylov_step(a, x, ax, g, eta, maxit):
         e[j], e[j + 1] = c * e[j], -sn * e[j]
         if abs(e[j + 1]) <= eta * beta:
             s = np.linalg.solve(r[: j + 1, : j + 1], e[: j + 1]) @ basis
-            return s if np.isfinite(s).all() else None
+            return s if vmin(np.isfinite(s)) else None
         v[j + 1] = w / hn
     return None

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import vmax, vmin
 from .core import Matrix, PositiveVector, as_matrix
 from .errors import ConvergenceError, NonNegativityError, NotPrimitiveError, ValidationError
 
@@ -90,7 +91,7 @@ def _complete_off_diagonal(a) -> bool:
     whatever its diagonal holds. In rows of n + 1, the flat entries after the
     first hold the off-diagonal in n columns; their row minima decide it."""
     n = a.shape[0]
-    return n >= 3 and bool(a.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].min(axis=1).min() > 0)
+    return n >= 3 and bool(vmin(a.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].min(axis=1)) > 0)
 
 
 def has_positive_diagonal(M) -> bool:
@@ -146,10 +147,11 @@ def classify(M) -> Classification:
     ndarray is read in place, as by the solvers' prologue."""
     a = Matrix._view(M).entries
     lo = a.min()
-    diag = np.diagonal(a)
-    positive_diagonal = bool(lo > 0 or diag.min() > 0)
+    diag = a.diagonal()
+    positive_diagonal = bool(lo > 0 or vmin(diag) > 0)
     rows = _row_max(a) if positive_diagonal else None
-    if not (lo > -np.inf and (rows if positive_diagonal else a).max() < np.inf):  # NaN fails both
+    hi = vmax(rows) if positive_diagonal else a.max()
+    if not (lo > -np.inf and hi < np.inf):  # NaN fails both
         raise ValidationError("matrix entries must be finite (no NaN or infinity)")
     nonnegative = bool(lo >= 0)
     # A positive diagonal, a positive matrix or a complete off-diagonal
@@ -162,7 +164,7 @@ def classify(M) -> Classification:
         # Halving the quotient is exact and, unlike 2*m_ii, cannot overflow;
         # row maxima first give the same c.
         with np.errstate(over="ignore"):  # an overflowing quotient is >= 2: no contraction
-            c = 0.5 * float(np.maximum.reduce(rows / diag))
+            c = 0.5 * float(vmax(rows / diag))
         if c < 1.0:
             condition, constant = True, c
     return Classification(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._kernels import vmax, vmin
 from .errors import DimensionError, NonNegativityError, ValidationError, ZeroRowError
 
 
@@ -73,9 +74,10 @@ class PositiveVector:
         v = np.array(values, dtype=np.float64)
         if v.ndim != 1 or v.shape[0] == 0:
             raise DimensionError(f"expected a 1-d vector, got shape {v.shape}")
-        if not np.isfinite(v).all():
+        lo, hi = vmin(v), vmax(v)  # v is a fresh copy, which argmin and argmax do not copy again
+        if not (lo > -np.inf and hi < np.inf):  # NaN fails both
             raise ValidationError("vector entries must be finite")
-        if not (v > 0).all():
+        if not lo > 0:
             raise ValidationError("vector entries must be strictly positive")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -121,10 +123,16 @@ def matvec(M, v) -> np.ndarray:
 
 
 def diag_sandwich(M, x) -> Matrix:
-    """diag(x) * M * diag(x): entry (i, j) becomes x_i * m_ij * x_j."""
+    """diag(x) * M * diag(x): entry (i, j) becomes x_i * m_ij * x_j. M and x
+    are finite, so an entry that is not is an overflow: OverflowError."""
     mtx = as_matrix(M)
     vals = _as_vector_array(as_positive_vector(x).values, mtx.n)
-    return Matrix(vals[:, None] * mtx.entries * vals[None, :])
+    with np.errstate(over="ignore"):
+        sandwich = vals[:, None] * mtx.entries * vals[None, :]
+    try:
+        return Matrix(sandwich)
+    except ValidationError:
+        raise OverflowError("diag(x) M diag(x) overflows the double range") from None
 
 
 def inverse_elementwise(v) -> PositiveVector:

@@ -274,7 +274,7 @@ def _bracket(mtx, cls, config, bracket_log=None, method="bracket") -> SolveResul
             if bracket_log is not None:
                 bracket_log.append(BracketState(lower.copy(), upper.copy()))
             point = x if corner else 0.5 * (lower + upper)
-            width = float((upper - lower).max())
+            width = float(_kernels.vmax(upper - lower))
             stall = stall + 1 if width >= STALL_RATIO * gap else 0
             gap = width
             r = float(_kernels.residual_inf(m, point))
@@ -343,7 +343,7 @@ def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -
             if x.shape[0] != n:
                 raise ValidationError(f"start point has length {x.shape[0]}, expected {n}")
             d, g, gn, mx = _log_defect(m, x)
-            trace = [float(np.maximum.reduce(np.abs(d)))]
+            trace = [float(_kernels.vmax(np.abs(d)))]
         while trace[-1] > config.tol:
             if not gn < np.inf:
                 raise ConvergenceError(
@@ -367,7 +367,7 @@ def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -
                 except np.linalg.LinAlgError:
                     pass
             # smax is inf or NaN unless a finite step was found.
-            smax = np.inf if s is None else float(np.maximum.reduce(np.abs(s)))
+            smax = np.inf if s is None else float(_kernels.vmax(np.abs(s)))
             if not smax < np.inf:
                 raise SingularJacobianError(
                     f"newton: the Jacobian is singular at iteration {iterations}",
@@ -388,7 +388,7 @@ def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -
                 )
             iterations += 1
             x, d, g, gn, mx = xt, dt, gt, gtn, mxt
-            trace.append(float(np.maximum.reduce(np.abs(d))))
+            trace.append(float(_kernels.vmax(np.abs(d))))
     return _result(x, iterations, "newton", trace, True, _cls)
 
 
@@ -415,11 +415,11 @@ def _swept_start(m, tol):
     rows = m.sum(axis=1)
     r = np.reciprocal(np.sqrt(rows))
     big = np.isinf(rows)
-    if big.any():
+    if _kernels.vmax(big):
         r[big] = 2.0**-512 / np.sqrt((m[big] * 2.0**-1024).sum(axis=1))
     mr = m.dot(r)
     q = r * mr
-    hi, lo = np.maximum.reduce(q), np.minimum.reduce(q)
+    hi, lo = _kernels.vmax(q), _kernels.vmin(q)
     trace = [float(max(hi - 1.0, 1.0 - lo))]
     if trace[0] > tol:
         z, mz, qz, e = r, mr, q, hi / lo - 1.0
@@ -428,7 +428,7 @@ def _swept_start(m, tol):
             zt = np.reciprocal(m.dot(np.reciprocal(mz)))
             mzt = m.dot(zt)
             qt = zt * mzt
-            et = float(np.maximum.reduce(qt) / np.minimum.reduce(qt)) - 1.0
+            et = float(_kernels.vmax(qt) / _kernels.vmin(qt)) - 1.0
             if not et < e:
                 break
             pairs.append(et)
@@ -439,11 +439,11 @@ def _swept_start(m, tol):
         x = z / np.sqrt(qz)
         d, g, gn, mx = _log_defect(m, x)
         if gn < max(np.log1p(hi - 1.0), -np.log1p(lo - 1.0)):  # r's max|g|, bitwise
-            pairs[-1:] = [float(np.maximum.reduce(np.abs(d)))]
+            pairs[-1:] = [float(_kernels.vmax(np.abs(d)))]
             return x, d, g, gn, mx, trace + pairs
     d = q - 1.0  # bitwise quad_defect at r
     g = np.log1p(d)
-    return r, d, g, float(np.maximum.reduce(np.abs(g))), mr, trace
+    return r, d, g, float(_kernels.vmax(np.abs(g))), mr, trace
 
 
 def _log_defect(m, x):
@@ -454,7 +454,7 @@ def _log_defect(m, x):
     warning."""
     d, mx = _kernels.quad_defect(m, x)
     g = np.log1p(d)
-    return d, g, float(np.maximum.reduce(np.abs(g))), mx
+    return d, g, float(_kernels.vmax(np.abs(g))), mx
 
 
 def multistart_uniqueness(M, config: SolverConfig | None = None, starts: int = 20):

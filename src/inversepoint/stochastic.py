@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _as_vector_array, as_matrix, as_positive_vector
+from ._kernels import vmax
+from .core import Matrix, _as_vector_array, as_positive_vector
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -25,7 +27,11 @@ class StochasticCertificate:
 
 
 def certify(M, x) -> StochasticCertificate:
-    m = as_matrix(M).entries
+    mtx = Matrix._view(M)  # an ndarray is read in place: no n x n copy or mask
+    m = mtx.entries
+    # A Matrix was checked when it was built; NaN fails both comparisons.
+    if mtx is not M and not (m.min() > -np.inf and m.max() < np.inf):
+        raise ValidationError("matrix entries must be finite (no NaN or infinity)")
     v = _as_vector_array(as_positive_vector(x).values, m.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
         sandwich = v[:, None] * m  # diag(x) M diag(x) in one n x n buffer
@@ -33,7 +39,7 @@ def certify(M, x) -> StochasticCertificate:
         mx = m.dot(v)
         return StochasticCertificate(
             row_sums=row_sums,
-            max_row_sum_defect=float(np.max(np.abs(row_sums - 1.0))),
-            eq2_defect=float(np.abs(v * mx - 1.0).max()),
-            inverse_defect=float(np.max(np.abs(mx - 1.0 / v))),
+            max_row_sum_defect=float(vmax(np.abs(row_sums - 1.0))),
+            eq2_defect=float(vmax(np.abs(v * mx - 1.0))),
+            inverse_defect=float(vmax(np.abs(mx - 1.0 / v))),
         )

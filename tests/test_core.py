@@ -106,6 +106,21 @@ def test_the_hypothesis_checks_make_no_n_by_n_temporary(entry, kind):
     assert a.flags.writeable
 
 
+def test_certify_reads_an_ndarray_in_place():
+    # Its own n x n buffer, for the row sums of diag(x) M diag(x), is 8n^2
+    # bytes; a copy of M would add 8n^2 and an np.isfinite mask n^2.
+    a = _large("positive")
+    n = a.shape[0]
+    x = np.random.default_rng(9).uniform(0.5, 2.0, n)
+    certify(a, x)
+    cert, peak = _peak_bytes(lambda: certify(a, x))
+    assert peak < 10 * n * n, peak
+    assert a.flags.writeable
+    ref = certify(Matrix(a), x)
+    assert np.array_equal(cert.row_sums, ref.row_sums)
+    assert (cert.eq2_defect, cert.inverse_defect) == (ref.eq2_defect, ref.inverse_defect)
+
+
 def test_the_result_does_not_alias_the_callers_start():
     a = np.eye(3)
     x0 = np.ones(3)  # exact: x*(Mx) = 1, so no step is taken
@@ -193,6 +208,23 @@ def test_positive_vector_validation():
         v.values[0] = 3.0
 
 
+@pytest.mark.parametrize(
+    "v, message",
+    [
+        ([-1.0, np.nan], "finite"),
+        ([0.0, np.inf], "finite"),
+        ([1.0, -np.inf], "finite"),
+        ([np.nan, np.nan], "finite"),
+        ([-0.0, 1.0], "strictly positive"),
+        ([2.0, -5e-324], "strictly positive"),
+    ],
+    ids=str,
+)
+def test_positive_vector_reports_a_non_finite_entry_before_a_non_positive_one(v, message):
+    with pytest.raises(ValidationError, match=f"^vector entries must be {message}$"):
+        PositiveVector(v)
+
+
 def test_matvec_identity():
     m = Matrix(np.eye(3))
     v = PositiveVector([1.0, 1.0, 1.0])
@@ -247,6 +279,13 @@ def test_diag_sandwich_row_stochastic_at_solution(curves_2d):
     x = oracle_solve(curves_2d, tol=1e-13)
     sums = diag_sandwich(curves_2d, x).entries.sum(axis=1)
     assert np.max(np.abs(sums - 1.0)) <= 1e-12
+
+
+def test_diag_sandwich_reports_its_own_overflow():
+    # M and x are both valid; only their product leaves the double range,
+    # which raises no RuntimeWarning (tier-1 turns one into an error).
+    with pytest.raises(OverflowError, match=r"^diag\(x\) M diag\(x\) overflows the double range$"):
+        diag_sandwich([[1e300, 1.0], [1.0, 1.0]], [1e10, 1.0])
 
 
 def test_inverse_elementwise_examples():

@@ -24,6 +24,38 @@ def test_backend_is_numpy():
     assert ip.BACKEND == "numpy"
 
 
+# Vectors whose max and min the helpers must return bitwise: one element,
+# ties, NaN first, last or twice, +-inf, signed zeros that do not tie.
+REDUCED = [
+    [3.0],
+    [1.0, 2.0, 2.0, -1.0, -1.0],
+    [np.nan, 1.0, 2.0],
+    [1.0, 2.0, np.nan],
+    [1.0, np.nan, -np.inf, np.nan],
+    [np.inf, 1.0, 1.0],
+    [-np.inf, 1.0],
+    [1.0, np.inf, -np.inf],
+    [5e-324, 0.0, 1e308],
+    [-0.0, 2.0],
+    [2.0, 2.0, 2.0],
+]
+
+
+@pytest.mark.parametrize("v", REDUCED, ids=str)
+def test_vmax_and_vmin_are_max_and_min_bitwise(v):
+    a = np.array(v)
+    for helper, reduction in ((_kernels.vmax, a.max), (_kernels.vmin, a.min)):
+        got, want = helper(a), reduction()
+        assert type(got) is type(want) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("v", [[True], [False], [False, True], [True, False, True], [False] * 3, [True] * 3], ids=str)
+def test_vmax_and_vmin_are_any_and_all_on_bool(v):
+    b = np.array(v)
+    assert type(_kernels.vmax(b)) is np.bool_ and _kernels.vmax(b) == b.any()
+    assert type(_kernels.vmin(b)) is np.bool_ and _kernels.vmin(b) == b.all()
+
+
 def test_positive_root_satisfies_quadratic():
     rng = np.random.default_rng(0)
     for _ in range(200):

@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -381,6 +382,27 @@ def test_multistart_triangular_unique_despite_non_primitivity(triangular):
     assert np.max(np.abs(first.x.values - TRIANGULAR_X)) <= 1e-8
 
 
+def _reducible_positive_diagonal(rng, n):
+    """P T P^T for an upper-triangular T with a positive diagonal, about 30%
+    of its upper entries zero, and a random permutation P."""
+    t = np.triu(rng.uniform(0.0, 2.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.7), 1)
+    t[np.diag_indices(n)] = rng.uniform(0.05, 2.0, n)
+    p = rng.permutation(n)
+    return Matrix(t[np.ix_(p, p)])
+
+
+def test_a_positive_diagonal_alone_gives_one_solution():
+    # README proves existence and uniqueness for any positive diagonal, with
+    # no primitivity; these inputs are all reducible.
+    rng = np.random.default_rng(2101)
+    for _ in range(300):
+        m = _reducible_positive_diagonal(rng, int(rng.integers(2, 7)))
+        assert not inversepoint.classify(m).primitive
+        first, spread = multistart_uniqueness(m, starts=20)
+        assert first.converged
+        assert spread <= 1e-10 * first.x.values.max(), (m, spread)
+
+
 def test_multistart_rejects_no_starts(triangular):
     with pytest.raises(ValidationError, match="starts must be at least 1"):
         multistart_uniqueness(triangular, starts=0)
@@ -656,6 +678,39 @@ def test_auto_paths_are_pinned(monkeypatch, recipe, seed, method, iterations, st
     assert res.method_used == method
     if iterations is not None:
         assert res.iterations == iterations
+
+
+def _ufunc_reductions(run):
+    """(run(), the number of calls of a ufunc's reduce or reduceat it made)."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "c_call" and isinstance(getattr(arg, "__self__", None), np.ufunc):
+            count += arg.__name__ in ("reduce", "reduceat")
+
+    sys.setprofile(profile)
+    try:
+        return run(), count
+    finally:
+        sys.setprofile(None)
+
+
+def test_a_solve_reduces_no_vector_through_a_ufunc():
+    # A ufunc reduction spends ~1 us on set-up, so vectors are reduced by
+    # argmax and argmin (_kernels.vmax and vmin). Only the reductions over
+    # M's n^2 entries remain, as many whatever the number of Newton steps or
+    # bracket rounds.
+    rng = np.random.default_rng(5)
+    a = rng.uniform(0.0, 2.0, (5, 5))
+    np.fill_diagonal(a, 0.05)
+    res, count = _ufunc_reductions(lambda: solve(a))
+    assert res.converged and res.iterations >= 3
+    assert count == 3  # classify's min and row maxima, the start's row sums
+    b = np.array([[1e-4, 1.0, 0.5], [1.0, 1e-4, 1.0], [0.5, 1.0, 1e-4]])
+    res, count = _ufunc_reductions(lambda: solve(b, SolverConfig(method="bracket")))
+    assert res.converged and res.iterations >= 1000
+    assert count == 2  # the hand-off to Newton starts from the bracket's own point
 
 
 def test_converged_residual_is_the_last_trace_entry_bitwise():

@@ -85,15 +85,6 @@ def _is_primitive(a) -> bool:
     return bool((lengths == 1).any() or np.gcd.reduce(lengths) == 1)
 
 
-def _complete_off_diagonal(a) -> bool:
-    """True when n >= 3 and every off-diagonal entry of the nonnegative a is
-    positive. Its digraph then has cycles of length 2 and 3, so a is primitive
-    whatever its diagonal holds. In rows of n + 1, the flat entries after the
-    first hold the off-diagonal in n columns; their row minima decide it."""
-    n = a.shape[0]
-    return n >= 3 and bool(vmin(a.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].min(axis=1)) > 0)
-
-
 def has_positive_diagonal(M) -> bool:
     return classify(M).positive_diagonal
 
@@ -142,29 +133,52 @@ def perron_vector(M, tol: float = 1e-12, max_iter: int = 100000) -> tuple[Positi
 def classify(M) -> Classification:
     """Populate the full certificate, reported with every solve. It checks
     first that M is finite, which the solvers' prologue leaves to it, from
-    the reductions it takes anyway: NaN and -inf show in the minimum, +inf in
-    the row maxima where the diagonal is positive, else in one maximum. An
-    ndarray is read in place, as by the solvers' prologue."""
+    the reductions it takes anyway, and branches on the diagonal first.
+
+    A positive diagonal takes M's minimum, where NaN and -inf show, and its
+    row maxima, where +inf shows and which give the contraction constant.
+    Otherwise one pass takes the column minima of the off-diagonal entries,
+    whose minimum decides nonnegativity with the diagonal's and whether the
+    off-diagonal is complete, and one maximum shows NaN and +inf. An ndarray
+    is read in place, as by the solvers' prologue."""
     a = Matrix._view(M).entries
-    lo = a.min()
     diag = a.diagonal()
-    positive_diagonal = bool(lo > 0 or vmin(diag) > 0)
-    rows = _row_max(a) if positive_diagonal else None
-    hi = vmax(rows) if positive_diagonal else a.max()
+    dmin = vmin(diag)
+    positive_diagonal = bool(dmin > 0)
+    if positive_diagonal:
+        lo = a.min()
+        rows = _row_max(a)
+        hi = vmax(rows)
+        complete = bool(lo > 0)
+    else:
+        # In rows of n + 1, the flat entries after the first hold the
+        # off-diagonal in n columns; axis=0 keeps numpy from buffering the
+        # strided view as axis=None would.
+        n = a.shape[0]
+        off = vmin(a.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].min(axis=0)) if n > 1 else np.inf
+        lo = dmin if dmin != dmin or dmin < off else off  # NaN wins
+        hi = a.max()
+        # With every off-diagonal entry positive, the digraph has cycles of
+        # length 2 and 3 from n = 3 on, so M is primitive whatever its
+        # diagonal holds.
+        complete = bool(n >= 3 and lo >= 0 and off > 0)
     if not (lo > -np.inf and hi < np.inf):  # NaN fails both
         raise ValidationError("matrix entries must be finite (no NaN or infinity)")
     nonnegative = bool(lo >= 0)
-    # A positive diagonal, a positive matrix or a complete off-diagonal
-    # leaves no zero row; the last two are primitive.
-    complete = bool(lo > 0 or nonnegative and _complete_off_diagonal(a))
+    # A positive diagonal or a complete off-diagonal leaves no zero row; a
+    # positive matrix and a complete off-diagonal are primitive.
     has_zero_row = not (positive_diagonal or complete or a.any(axis=1).all())
     primitive = complete or (nonnegative and _is_primitive(a))
     condition, constant = False, None
     if nonnegative and positive_diagonal:
         # Halving the quotient is exact and, unlike 2*m_ii, cannot overflow;
-        # row maxima first give the same c.
-        with np.errstate(over="ignore"):  # an overflowing quotient is >= 2: no contraction
+        # row maxima first give the same c. A quotient overflows only where
+        # hi / dmin does, so only then is the costly errstate needed.
+        if float(hi) / float(dmin) < np.inf:
             c = 0.5 * float(vmax(rows / diag))
+        else:
+            with np.errstate(over="ignore"):  # an overflowing quotient is >= 2: no contraction
+                c = 0.5 * float(vmax(rows / diag))
         if c < 1.0:
             condition, constant = True, c
     return Classification(

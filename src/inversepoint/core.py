@@ -38,7 +38,8 @@ class Matrix:
         copy; the caller's array stays writeable), anything else copied as by
         Matrix(entries). It checks the shape only; classify checks finiteness
         next, so a solve makes no n x n temporary. The caller must not write
-        to the array while the solve runs."""
+        to the array while the solve runs. diag_sandwich adopts its own
+        checked buffer through it."""
         if isinstance(entries, cls):
             return entries
         mtx = cls.__new__(cls)
@@ -124,15 +125,16 @@ def matvec(M, v) -> np.ndarray:
 
 def diag_sandwich(M, x) -> Matrix:
     """diag(x) * M * diag(x): entry (i, j) becomes x_i * m_ij * x_j. M and x
-    are finite, so an entry that is not is an overflow: OverflowError."""
+    are finite, so an entry that is not is an overflow: OverflowError. It is
+    formed as (x_i * m_ij) * x_j in one n x n buffer, which the result adopts."""
     mtx = as_matrix(M)
     vals = _as_vector_array(as_positive_vector(x).values, mtx.n)
     with np.errstate(over="ignore"):
-        sandwich = vals[:, None] * mtx.entries * vals[None, :]
-    try:
-        return Matrix(sandwich)
-    except ValidationError:
-        raise OverflowError("diag(x) M diag(x) overflows the double range") from None
+        sandwich = np.multiply(vals[:, None], mtx.entries)
+        sandwich *= vals
+    if not (sandwich.min() > -np.inf and sandwich.max() < np.inf):
+        raise OverflowError("diag(x) M diag(x) overflows the double range")
+    return Matrix._view(sandwich)
 
 
 def inverse_elementwise(v) -> PositiveVector:

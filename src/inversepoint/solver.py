@@ -179,7 +179,8 @@ def solve_auto(M, config: SolverConfig | None = None) -> SolveResult:
     count the failed Newton steps. Otherwise Newton's error is raised, carrying
     its last iterate."""
     mtx, config, cls = _prepare(M, config)
-    first = replace(config, max_iter=min(config.max_iter, AUTO_NEWTON_MAX_STEPS))
+    # Built directly: dataclasses.replace costs three times as much.
+    first = SolverConfig(config.tol, min(config.max_iter, AUTO_NEWTON_MAX_STEPS), config.method, config.seed)
     try:
         return solve_newton(mtx, None, first, _cls=cls)
     except ConvergenceError:
@@ -395,13 +396,16 @@ def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -
 def _swept_start(m, tol):
     """solve_newton's default start: (x, d, g, max|g|, Mx, trace) at it.
 
-    It is r = 1/sqrt(rowsum(M)); a row whose sum overflows is summed over
-    M / 4^512 and its entry scaled back by 2^-512. Where r's residual is above
-    tol, Sinkhorn pairs z <- 1/(M(1/(Mz))) refine it, two products each, the
-    first reusing the product already held. A pair is judged by the
-    scale-free defect e = max q / min q - 1 of q = z*(Mz): it is kept only if
-    it lowers e, and another follows only while e > tol and the last one cut
-    e by at least SWEEP_MIN_RATE. One half step x = z/sqrt(q), which is
+    It is r = 1/sqrt(rowsum(M)), the row sums taken as one product with a
+    vector of ones: it costs about a third of m.sum(axis=1), and it scales
+    exactly under M -> 4^j M as every other product does. A row whose sum
+    overflows is summed over M / 4^512 the same way, and its entry scaled
+    back by 2^-512. Where r's residual is above tol, Sinkhorn pairs
+    z <- 1/(M(1/(Mz))) refine it, two products each, the first reusing the
+    product already held. A pair is judged by the scale-free defect
+    e = max q / min q - 1 of q = z*(Mz): it is kept only if it lowers e, and
+    another follows only while e > tol and the last one cut e by at least
+    SWEEP_MIN_RATE. One half step x = z/sqrt(q), which is
     sqrt(z/(Mz)) without forming that quotient of order z^2, closes the sweep
     from the last kept pair, or from r where none was kept. The closed point
     replaces r only if it lowers max|g|.
@@ -411,12 +415,14 @@ def _swept_start(m, tol):
     kept); where r is returned, only r's residual.
     """
     # Positive row sums: M is validated. A row sum overflows only near the
-    # largest double; such a row is summed over M / 4^512 instead.
-    rows = m.sum(axis=1)
+    # largest double. np.ones costs more than the product up to n = 64.
+    ones = np.empty(m.shape[0])
+    ones.fill(1.0)
+    rows = m.dot(ones)
     r = np.reciprocal(np.sqrt(rows))
-    big = np.isinf(rows)
-    if _kernels.vmax(big):
-        r[big] = 2.0**-512 / np.sqrt((m[big] * 2.0**-1024).sum(axis=1))
+    if _kernels.vmax(rows) == np.inf:
+        big = np.isinf(rows)
+        r[big] = 2.0**-512 / np.sqrt((m[big] * 2.0**-1024).dot(ones))
     mr = m.dot(r)
     q = r * mr
     hi, lo = _kernels.vmax(q), _kernels.vmin(q)

@@ -52,8 +52,10 @@ def random_contraction(rng, n):
 
 def default_start(m):
     """1/sqrt(rowsum(M)), the default start of solve_newton wherever no row
-    sum of M overflows."""
-    return 1.0 / np.sqrt(np.asarray(m, dtype=np.float64).sum(axis=1))
+    sum of M overflows, with the row sums taken as it takes them: one product
+    with a vector of ones."""
+    a = np.asarray(m, dtype=np.float64, order="C")
+    return 1.0 / np.sqrt(a @ np.ones(a.shape[0]))
 
 
 # Draws of wide_range_draws() whose solution lies outside the double range: a

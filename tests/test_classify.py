@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -18,8 +19,11 @@ from inversepoint import (
     is_primitive,
     perron_vector,
 )
-from inversepoint.classify import _bfs_levels, _complete_off_diagonal, _is_primitive
+from inversepoint.classify import _bfs_levels, _is_primitive
 from inversepoint.core import validate_solvable
+
+# The package attribute inversepoint.classify is the function of that name.
+classify_module = importlib.import_module("inversepoint.classify")
 
 
 def test_is_primitive_examples(triangular, zero_diag):
@@ -325,25 +329,117 @@ def _patterns():
         yield np.ones((n, n)) - np.eye(n)
 
 
-def test_complete_off_diagonal_shortcut_agrees_with_the_graph_test():
+def _classify_counting_graph_tests(monkeypatch, a):
+    """(classify(a), how many times it ran the graph test _is_primitive)."""
+    calls = []
+
+    def counted(b):
+        calls.append(None)
+        return _is_primitive(b)
+
+    monkeypatch.setattr(classify_module, "_is_primitive", counted)
+    try:
+        return classify(Matrix(a)), len(calls)
+    finally:
+        monkeypatch.undo()
+
+
+def test_complete_off_diagonal_shortcut_agrees_with_the_graph_test(monkeypatch):
+    # classify skips the graph test on a nonnegative matrix only where it
+    # finds M positive or its off-diagonal complete; both are primitive.
     shortcuts = 0
     for a in _patterns():
-        if _complete_off_diagonal(a):
+        cls, graph_tests = _classify_counting_graph_tests(monkeypatch, a)
+        if not graph_tests:
             shortcuts += 1
             assert _is_primitive(a)
-        assert classify(Matrix(a)).primitive is _is_primitive(a)
+        assert cls.primitive is _is_primitive(a)
     assert shortcuts >= 5
 
 
-def test_complete_off_diagonal_shortcut_needs_n3_and_every_off_diagonal_entry():
+def test_complete_off_diagonal_shortcut_needs_n3_and_every_off_diagonal_entry(monkeypatch):
     # A 2x2 zero diagonal has period 2; n = 1 has no off-diagonal entry.
     for a in ([[0.0, 1.0], [1.0, 0.0]], [[0.0]], [[1.0, 1.0], [1.0, 0.0]]):
-        assert not _complete_off_diagonal(np.array(a))
+        assert _classify_counting_graph_tests(monkeypatch, np.array(a))[1] == 1
     assert classify(Matrix([[0.0, 1.0], [1.0, 0.0]])).primitive is False
     # One off-diagonal zero falls through to the BFS, which decides either way.
     a = np.ones((3, 3)) - np.eye(3)
-    assert _complete_off_diagonal(a)
+    assert _classify_counting_graph_tests(monkeypatch, a) == (classify(Matrix(a)), 0)
     a[0, 1] = 0.0
-    assert not _complete_off_diagonal(a) and classify(Matrix(a)).primitive is True
+    cls, graph_tests = _classify_counting_graph_tests(monkeypatch, a)
+    assert graph_tests == 1 and cls.primitive is True
     b = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])  # bipartite path
-    assert not _complete_off_diagonal(b) and classify(Matrix(b)).primitive is False
+    cls, graph_tests = _classify_counting_graph_tests(monkeypatch, b)
+    assert graph_tests == 1 and cls.primitive is False
+
+
+def _zero_diagonal_cases():
+    """Seeded zero-diagonal inputs, complete off the diagonal or not, with a
+    negative entry now and then, and some diagonals only partly zero."""
+    rng = np.random.default_rng(2022)
+    for n in [*range(1, 10), 17, 64, 65, 100]:
+        for _ in range(12):
+            a = rng.uniform(0.05, 2.0, (n, n))
+            np.fill_diagonal(a, 0.0)
+            kind = int(rng.integers(0, 4))
+            if kind == 1:
+                a[rng.uniform(size=(n, n)) < rng.uniform(0.0, 0.5)] = 0.0
+            elif kind == 2:
+                a[rng.integers(0, n), rng.integers(0, n)] = -rng.uniform(0.1, 1.0)
+            elif kind == 3:
+                np.fill_diagonal(a, rng.uniform(size=n) < 0.5)
+            yield a
+
+
+def test_zero_diagonal_branch_matches_the_n_by_n_formulas():
+    # Without a positive diagonal, classify reads M's minimum from the column
+    # minima of its off-diagonal entries and the diagonal's minimum.
+    complete = incomplete = negative = 0
+    for a in _zero_diagonal_cases():
+        cls = classify(Matrix(a))
+        assert cls == _old_classify(a)
+        off = a[~np.eye(len(a), dtype=bool)]
+        complete += bool(len(a) >= 3 and (off > 0).all())
+        incomplete += bool((off >= 0).all() and not (off > 0).all())
+        negative += not cls.nonnegative
+    assert min(complete, incomplete, negative) >= 10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_zero_diagonal_branch_reads_every_entry(n):
+    # -inf shows only in the minimum, so the off-diagonal pass must reach
+    # every entry; a negative entry anywhere makes M not nonnegative.
+    base = np.ones((n, n)) - np.eye(n)
+    assert classify(Matrix(base)).nonnegative
+    for i in range(n):
+        for j in range(n):
+            for bad in (np.nan, np.inf, -np.inf):
+                a = base.copy()
+                a[i, j] = bad
+                with pytest.raises(ValidationError, match="must be finite"):
+                    classify(a)
+            a = base.copy()
+            a[i, j] = -1.0
+            cls = classify(a)
+            assert not cls.nonnegative and cls == _old_classify(a)
+
+
+def test_zero_diagonal_branch_at_n_1_and_2():
+    for a in ([[0.0]], [[0.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]], [[0.0, 2.0], [3.0, 0.0]], [[-0.0, 1.0], [1.0, 0.0]]):
+        a = np.array(a)
+        assert classify(a) == _old_classify(a)
+    assert classify(np.array([[0.0]])).has_zero_row
+    for a in ([[np.nan]], [[0.0, 1.0], [np.nan, 0.0]], [[np.nan, 1.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, np.inf]]):
+        with pytest.raises(ValidationError, match="must be finite"):
+            classify(np.array(a))
+
+
+def test_contraction_quotient_that_overflows_raises_no_warning():
+    # The quotient m_ij / m_ii can overflow only where max M / min diag does;
+    # there classify silences the overflow, and tier-1 makes a RuntimeWarning
+    # an error. An overflowing quotient is >= 2: no contraction.
+    cls = classify(np.array([[5e-324, 1e300], [1.0, 1.0]]))
+    assert cls.positive_diagonal and (cls.contraction_condition, cls.contraction_constant) == (False, None)
+    # Rows 600 decades apart whose own quotients stay small still contract.
+    cls = classify(np.array([[1e300, 1e299], [1e-301, 1e-300]]))
+    assert (cls.contraction_condition, cls.contraction_constant) == (True, 0.5)

@@ -275,6 +275,33 @@ def test_diag_sandwich_matches_naive_triple_loop():
                 assert out[i, j] == pytest.approx(x[i] * m.entries[i, j] * x[j], rel=1e-15)
 
 
+def test_diag_sandwich_is_bitwise_the_two_products_in_one_buffer():
+    # (x_i * m_ij) * x_j, negative entries and overflows included, in one
+    # n x n buffer that the result adopts: two temporaries, a copy and an
+    # np.isfinite mask peaked at 17 n^2 bytes.
+    rng = np.random.default_rng(12)
+    overflows = 0
+    for _ in range(200):
+        n = int(rng.integers(1, 10))
+        a = rng.uniform(-3.0, 3.0, (n, n)) * 10.0 ** rng.uniform(-200, 200, (n, n))
+        x = 10.0 ** rng.uniform(-100, 100, n)
+        with np.errstate(over="ignore"):
+            ref = x[:, None] * a * x[None, :]
+        if np.isfinite(ref).all():
+            assert diag_sandwich(a, x).entries.tobytes() == ref.tobytes()
+        else:
+            overflows += 1
+            with pytest.raises(OverflowError):
+                diag_sandwich(a, x)
+    assert 10 <= overflows <= 190
+    m = Matrix(np.random.default_rng(13).uniform(-1.0, 1.0, (300, 300)))
+    x = np.random.default_rng(14).uniform(0.5, 2.0, 300)
+    diag_sandwich(m, x)
+    out, peak = _peak_bytes(lambda: diag_sandwich(m, x))
+    assert peak <= 9 * 300 * 300, peak
+    assert not out.entries.flags.writeable
+
+
 def test_diag_sandwich_row_stochastic_at_solution(curves_2d):
     x = oracle_solve(curves_2d, tol=1e-13)
     sums = diag_sandwich(curves_2d, x).entries.sum(axis=1)

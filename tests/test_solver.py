@@ -706,7 +706,13 @@ def test_a_solve_reduces_no_vector_through_a_ufunc():
     np.fill_diagonal(a, 0.05)
     res, count = _ufunc_reductions(lambda: solve(a))
     assert res.converged and res.iterations >= 3
-    assert count == 3  # classify's min and row maxima, the start's row sums
+    assert count == 2  # classify's min and row maxima; the start's row sums are a product
+    # Without a positive diagonal, classify takes its off-diagonal column
+    # minima and one maximum instead.
+    np.fill_diagonal(a, 0.0)
+    res, count = _ufunc_reductions(lambda: solve(a))
+    assert res.converged and not res.classification.positive_diagonal
+    assert count == 2
     b = np.array([[1e-4, 1.0, 0.5], [1.0, 1e-4, 1.0], [0.5, 1.0, 1e-4]])
     res, count = _ufunc_reductions(lambda: solve(b, SolverConfig(method="bracket")))
     assert res.converged and res.iterations >= 1000

@@ -183,12 +183,14 @@ def test_power_of_four_scale_law_is_bitwise_with_the_refined_start(m, j):
 def _start_by_powers_of_four(m):
     # The start as formed before: 2^-k / sqrt(rowsum(M) / 4^k) with max M / 4^k
     # in [0.5, 2), summing M / 4^k instead where a row sum could overflow.
+    # The row sums are products with a vector of ones, as the start takes them.
     top = float(m.max())
     k = int(np.frexp(top)[1]) // 2
+    ones = np.ones(m.shape[0])
     if top > np.finfo(np.float64).max / m.shape[0]:
-        rows = np.ldexp(m, -2 * k).sum(axis=1)
+        rows = np.ldexp(m, -2 * k) @ ones
     else:
-        rows = np.ldexp(m.sum(axis=1), -2 * k)
+        rows = np.ldexp(m @ ones, -2 * k)
     return np.ldexp(1.0 / np.sqrt(rows), -k)
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import vmax, vmin
-from .core import Matrix, PositiveVector, as_matrix
+from .core import PositiveVector, _entries
 from .errors import ConvergenceError, NonNegativityError, NotPrimitiveError, ValidationError
 
 
@@ -109,13 +109,12 @@ def perron_vector(M, tol: float = 1e-12, max_iter: int = 100000) -> tuple[Positi
     eigenvalue as ||Mv||_inf / ||v||_inf. Returns (v, lambda) with
     ||Mv - lambda*v||_inf <= tol * ||v||_inf and ||v||_inf = 1.
     """
-    mtx = as_matrix(M)
-    if tol <= 0:
+    m = _entries(M)
+    if not tol > 0:  # NaN too: the loop would run its whole budget
         raise ValidationError("tol must be positive")
-    if not is_primitive(mtx):
+    if not is_primitive(m):  # checks finiteness
         raise NotPrimitiveError("power iteration requires a primitive matrix")
-    m = mtx.entries
-    v = np.ones(mtx.n)
+    v = np.ones(m.shape[0])
     lam, defect = 0.0, np.inf
     for _ in range(max_iter):
         w = m @ v
@@ -141,7 +140,7 @@ def classify(M) -> Classification:
     whose minimum decides nonnegativity with the diagonal's and whether the
     off-diagonal is complete, and one maximum shows NaN and +inf. An ndarray
     is read in place, as by the solvers' prologue."""
-    a = Matrix._view(M).entries
+    a = _entries(M)
     diag = a.diagonal()
     dmin = vmin(diag)
     positive_diagonal = bool(dmin > 0)

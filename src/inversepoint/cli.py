@@ -104,11 +104,9 @@ def _curve_rows(mtx, samples: int, t_max: float):
 def _run_curves(args) -> int:
     mtx = _load_matrix(args)
     if mtx.n not in (2, 3):
-        print(f"error: curves supports n = 2 or 3, got n = {mtx.n}", file=sys.stderr)
-        return 1
-    if args.samples < 1 or args.t_max <= 0:
-        print("error: --samples must be >= 1 and --t-max positive", file=sys.stderr)
-        return 1
+        raise ValidationError(f"curves supports n = 2 or 3, got n = {mtx.n}")
+    if not (args.samples >= 1 and 0 < args.t_max < float("inf")):  # NaN fails too
+        raise ValidationError("--samples must be >= 1 and --t-max positive")
     header = "curve_index,x1,x2,skipped" if mtx.n == 2 else "curve_index,x1,x2,x3,skipped"
     out = [header]
     out.extend(_curve_rows(mtx, args.samples, args.t_max))

@@ -1,8 +1,9 @@
 """Dense matrix/vector containers and the elementary operations on them.
 
-Everything downstream (classification, the update map, the solvers) consumes
-these two immutable types. Validation happens once at construction so the hot
-paths can stay check-free.
+M enters the package through one reader, _entries: a Matrix's own entries, or
+an ndarray read in place, and the solvers carry that ndarray. x enters through
+_positive, as the values of a PositiveVector. Finiteness is one test, _finite,
+taken once per entry point, so the hot paths can stay check-free.
 """
 
 from __future__ import annotations
@@ -14,12 +15,10 @@ from .errors import DimensionError, NonNegativityError, ValidationError, ZeroRow
 
 
 class Matrix:
-    """Immutable dense square matrix of 64-bit floats, stored in C order.
+    """Immutable dense square matrix of finite 64-bit floats, stored in C order.
 
-    Entries must be finite. Negative entries are representable (classification
-    reports nonnegativity and the solvers reject it); NaN and infinity are not.
-    The one exception is _view, with which classify opens: its Matrix holds
-    unchecked entries until classify has checked them.
+    Negative entries are representable (classification reports nonnegativity
+    and the solvers reject it); NaN and infinity are not.
     The entries are a copy, so later writes to the argument do not show; C
     order makes every product with M independent of the argument's layout.
     """
@@ -27,29 +26,7 @@ class Matrix:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        self._adopt(np.array(entries, dtype=np.float64, order="C"))
-        if not np.isfinite(self.entries).all():
-            raise ValidationError("matrix entries must be finite (no NaN or infinity)")
-
-    @classmethod
-    def _view(cls, entries):
-        """classify's entry, and the solvers' prologue: a Matrix as is, a
-        C-contiguous float64 ndarray through a read-only view of it (no n x n
-        copy; the caller's array stays writeable), anything else copied as by
-        Matrix(entries). It checks the shape only; classify checks finiteness
-        next, so a solve makes no n x n temporary. The caller must not write
-        to the array while the solve runs. diag_sandwich adopts its own
-        checked buffer through it."""
-        if isinstance(entries, cls):
-            return entries
-        mtx = cls.__new__(cls)
-        mtx._adopt(np.asarray(entries, dtype=np.float64, order="C").view())
-        return mtx
-
-    def _adopt(self, a):
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-            raise DimensionError(f"expected a square n-by-n array with n >= 1, got shape {a.shape}")
-        a.setflags(write=False)
+        a = _entries(np.array(entries, dtype=np.float64, order="C"), checked=True)
         object.__setattr__(self, "entries", a)
 
     def __setattr__(self, name, value):
@@ -64,6 +41,30 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({self.entries.tolist()!r})"
+
+
+def _finite(a) -> bool:
+    """True iff every entry of the nonempty a is finite; NaN fails both tests."""
+    return bool(a.min() > -np.inf and a.max() < np.inf)
+
+
+def _entries(M, checked: bool = False) -> np.ndarray:
+    """M's entries as a read-only, square, C-order float64 ndarray: a Matrix's
+    own, a C-contiguous float64 ndarray through a read-only view of it (no
+    n x n copy; the caller's array stays writeable, and the caller must not
+    write to it while the result is in use), anything else copied.
+    checked=True rejects NaN and infinity, which a Matrix never holds."""
+    if isinstance(M, Matrix):
+        return M.entries
+    a = np.asarray(M, dtype=np.float64, order="C")
+    if a.flags.writeable:
+        a = a.view()
+        a.setflags(write=False)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise DimensionError(f"expected a square n-by-n array with n >= 1, got shape {a.shape}")
+    if checked and not _finite(a):
+        raise ValidationError("matrix entries must be finite (no NaN or infinity)")
+    return a
 
 
 class PositiveVector:
@@ -90,9 +91,7 @@ class PositiveVector:
         return self.values.shape[0]
 
     def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.values.astype(dtype)
-        return self.values
+        return np.array(self.values, dtype=dtype, copy=copy)
 
     def __repr__(self) -> str:
         return f"PositiveVector({self.values.tolist()!r})"
@@ -116,25 +115,31 @@ def _as_vector_array(v, n: int) -> np.ndarray:
     return a
 
 
+def _positive(x, n: int) -> np.ndarray:
+    """x as the values of a PositiveVector of length n."""
+    return _as_vector_array(as_positive_vector(x).values, n)
+
+
 def matvec(M, v) -> np.ndarray:
     """M @ v as a plain ndarray, exact up to float rounding."""
-    mtx = as_matrix(M)
-    a = _as_vector_array(v, mtx.n)
-    return mtx.entries @ a
+    m = _entries(M, checked=True)
+    return m @ _as_vector_array(v, m.shape[0])
 
 
 def diag_sandwich(M, x) -> Matrix:
     """diag(x) * M * diag(x): entry (i, j) becomes x_i * m_ij * x_j. M and x
     are finite, so an entry that is not is an overflow: OverflowError. It is
     formed as (x_i * m_ij) * x_j in one n x n buffer, which the result adopts."""
-    mtx = as_matrix(M)
-    vals = _as_vector_array(as_positive_vector(x).values, mtx.n)
+    m = _entries(M, checked=True)
+    vals = _positive(x, m.shape[0])
     with np.errstate(over="ignore"):
-        sandwich = np.multiply(vals[:, None], mtx.entries)
+        sandwich = np.multiply(vals[:, None], m)
         sandwich *= vals
-    if not (sandwich.min() > -np.inf and sandwich.max() < np.inf):
+    if not _finite(sandwich):
         raise OverflowError("diag(x) M diag(x) overflows the double range")
-    return Matrix._view(sandwich)
+    out = object.__new__(Matrix)
+    object.__setattr__(out, "entries", _entries(sandwich))
+    return out
 
 
 def inverse_elementwise(v) -> PositiveVector:
@@ -143,13 +148,13 @@ def inverse_elementwise(v) -> PositiveVector:
     return PositiveVector(1.0 / xv.values)
 
 
-def validate_solvable(M: Matrix, cls=None) -> None:
+def validate_solvable(M, cls=None) -> None:
     """Reject matrices on which x_i*(Mx)_i = 1 cannot be posed: negative
     entries or an all-zero row. Given M's Classification as cls, it reads M
     only to name the offending entry or row."""
     if cls is not None and cls.nonnegative and not cls.has_zero_row:
         return
-    a = M.entries
+    a = _entries(M)
     if a.min() < 0:
         i, j = np.argwhere(a < 0)[0]
         raise NonNegativityError(f"matrix entry ({i},{j}) is negative: {a[i, j]}")

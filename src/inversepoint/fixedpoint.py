@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .core import PositiveVector, _as_vector_array, as_matrix
+from .core import PositiveVector, _as_vector_array, _entries
 from .errors import DimensionError, NonNegativityError, ValidationError, ZeroRowError
 
 
@@ -41,8 +41,7 @@ class RowContext:
 
     @classmethod
     def from_matrix(cls, M, i: int) -> "RowContext":
-        mtx = as_matrix(M)
-        row = mtx.row(i)
+        row = _entries(M, checked=True)[i]
         off = np.concatenate([row[:i], row[i + 1:]])
         return cls(row_index=i, diagonal=float(row[i]), off_diagonal=off)
 
@@ -90,12 +89,12 @@ def F_map(M, x) -> PositiveVector:
     output is strictly positive. Rows with zero diagonal need a positive
     off-diagonal contribution, else ZeroRowError identifies the row.
     """
-    mtx = as_matrix(M)
-    if (mtx.entries < 0).any():
+    m = _entries(M, checked=True)
+    if m.min() < 0:
         raise NonNegativityError("the update map is defined for nonnegative matrices only")
-    a = _point(x, mtx.n)
-    out = np.empty(mtx.n)
-    bad = _kernels.f_apply(mtx.entries, a, out)
+    a = _point(x, m.shape[0])
+    out = np.empty(m.shape[0])
+    bad = _kernels.f_apply(m, a, out)
     if bad >= 0:
         raise ZeroRowError(int(bad))
     return PositiveVector(out)
@@ -103,5 +102,5 @@ def F_map(M, x) -> PositiveVector:
 
 def residual(M, x) -> float:
     """Infinity-norm defect of the quadratic system: max_i |x_i*(Mx)_i - 1|."""
-    mtx = as_matrix(M)
-    return float(_kernels.residual_inf(mtx.entries, _as_vector_array(x, mtx.n)))
+    m = _entries(M, checked=True)
+    return float(_kernels.residual_inf(m, _as_vector_array(x, m.shape[0])))

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .classify import Classification
-from .core import Matrix, as_matrix
+from .core import Matrix, _entries
 from .errors import ParseError, ValidationError
 from .stochastic import certify
 
@@ -121,11 +121,11 @@ def emit_matrix(M, fmt: str = "csv") -> str:
     """Inverse of parse_matrix; round-trips entries exactly."""
     if fmt not in MATRIX_FORMATS:
         raise ValidationError(f"format must be one of {MATRIX_FORMATS}, got {fmt!r}")
-    mtx = as_matrix(M)
+    m = _entries(M, checked=True)
     if fmt == "csv":
-        return "\n".join(",".join(_fmt(v) for v in row) for row in mtx.entries) + "\n"
-    rows = ",".join("[" + ",".join(_fmt(v) for v in row) + "]" for row in mtx.entries)
-    return f'{{"n":{mtx.n},"rows":[{rows}]}}\n'
+        return "\n".join(",".join(_fmt(v) for v in row) for row in m) + "\n"
+    rows = ",".join("[" + ",".join(_fmt(v) for v in row) + "]" for row in m)
+    return f'{{"n":{m.shape[0]},"rows":[{rows}]}}\n'
 
 
 def _classification_json(cls: Classification) -> str:

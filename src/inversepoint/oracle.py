@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import PositiveVector, as_matrix, validate_solvable
+from .core import PositiveVector, _entries, validate_solvable
 from .errors import OracleDivergenceError, ValidationError
 
 MAX_ORACLE_N = 5
@@ -62,14 +62,15 @@ def _sweeps(m, x, tol, max_sweeps):
 
 
 def oracle_solve(M, tol: float = 1e-12, max_sweeps: int = 10**6) -> PositiveVector:
-    mtx = as_matrix(M)
-    if mtx.n > MAX_ORACLE_N:
-        raise ValidationError(f"oracle supports n <= {MAX_ORACLE_N}, got n = {mtx.n}")
-    if tol <= 0:
+    m = _entries(M, checked=True)
+    n = m.shape[0]
+    if n > MAX_ORACLE_N:
+        raise ValidationError(f"oracle supports n <= {MAX_ORACLE_N}, got n = {n}")
+    if not tol > 0:  # NaN too: no residual would ever count as converged
         raise ValidationError("tol must be positive")
-    validate_solvable(mtx)
-    x = np.ones(mtx.n)
-    status, sweeps = _sweeps(mtx.entries, x, tol, max_sweeps)
+    validate_solvable(m)
+    x = np.ones(n)
+    status, sweeps = _sweeps(m, x, tol, max_sweeps)
     if status == 2:
         raise OracleDivergenceError(
             f"bisection bracket [1e-12, 1e6] does not straddle a root after {sweeps} sweeps"

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import _kernels
 from .classify import Classification, classify
-from .core import Matrix, PositiveVector, as_positive_vector, validate_solvable
+from .core import PositiveVector, _entries, _positive, validate_solvable
 from .errors import (
     ContractionPreconditionError,
     ConvergenceError,
@@ -96,7 +96,7 @@ class SolverConfig:
     def __post_init__(self):
         if not self.tol > 0:  # NaN too: every residual would count as converged
             raise ValidationError("tol must be positive")
-        if self.max_iter < 1:
+        if not self.max_iter >= 1:  # NaN too: no budget check would ever fire
             raise ValidationError("max_iter must be at least 1")
         if self.method not in METHODS:
             raise ValidationError(f"method must be one of {METHODS}, got {self.method!r}")
@@ -122,13 +122,13 @@ class SolveResult:
 
 
 def _prepare(M, config):
-    """(M as a Matrix, config or the default, M's Classification): the
-    prologue of every solver. M is classified once and validated from that
-    classification, which the solver passes down."""
-    mtx = Matrix._view(M)
-    cls = classify(mtx)  # checks finiteness: nothing may read M's values before it
-    validate_solvable(mtx, cls)
-    return mtx, config or SolverConfig(), cls
+    """(M's entries as core._entries reads them, config or the default, M's
+    Classification): the prologue of every solver. M is classified once and
+    validated from that classification, which the solver passes down."""
+    m = _entries(M)
+    cls = classify(m)  # checks finiteness: nothing may read M's values before it
+    validate_solvable(m, cls)
+    return m, config or SolverConfig(), cls
 
 
 def _result(x, iterations, method, trace, converged, cls):
@@ -178,15 +178,15 @@ def solve_auto(M, config: SolverConfig | None = None) -> SolveResult:
     boxes take over, where the paper proves convergence; the result does not
     count the failed Newton steps. Otherwise Newton's error is raised, carrying
     its last iterate."""
-    mtx, config, cls = _prepare(M, config)
+    m, config, cls = _prepare(M, config)
     # Built directly: dataclasses.replace costs three times as much.
     first = SolverConfig(config.tol, min(config.max_iter, AUTO_NEWTON_MAX_STEPS), config.method, config.seed)
     try:
-        return solve_newton(mtx, None, first, _cls=cls)
+        return solve_newton(m, None, first, _cls=cls)
     except ConvergenceError:
         if not cls.positive_diagonal:
             raise
-    return _bracket(mtx, cls, config)
+    return _bracket(m, cls, config)
 
 
 def solve_contraction(M, config: SolverConfig | None = None) -> SolveResult:
@@ -202,12 +202,12 @@ def solve_contraction(M, config: SolverConfig | None = None) -> SolveResult:
     point, not the residual; the residual is the authoritative stop so that
     converged always means residual <= tol.
     """
-    mtx, config, cls = _prepare(M, config)
+    m, config, cls = _prepare(M, config)
     if not cls.contraction_condition:
         raise ContractionPreconditionError(
             "2*m_ii > m_ij fails for some pair; the iteration has no contraction certificate"
         )
-    return _bracket(mtx, cls, config, method="contraction")
+    return _bracket(m, cls, config, method="contraction")
 
 
 def solve_bracket(M, config: SolverConfig | None = None, *, bracket_log=None) -> SolveResult:
@@ -222,11 +222,11 @@ def solve_bracket(M, config: SolverConfig | None = None, *, bracket_log=None) ->
 
     bracket_log, when a list, receives a BracketState per corner update.
     """
-    mtx, config, cls = _prepare(M, config)
-    return _bracket(mtx, cls, config, bracket_log)
+    m, config, cls = _prepare(M, config)
+    return _bracket(m, cls, config, bracket_log)
 
 
-def _bracket(mtx, cls, config, bracket_log=None, method="bracket") -> SolveResult:
+def _bracket(m, cls, config, bracket_log=None, method="bracket") -> SolveResult:
     """The one loop over F: the nested boxes from (0, F(0)), each new iterate
     replacing the corner on its own side (F is decreasing, so the iterates
     alternate around the fixed point). The bracket reads its residual at the
@@ -239,8 +239,7 @@ def _bracket(mtx, cls, config, bracket_log=None, method="bracket") -> SolveResul
     tol, so it obeys the scale law. Newton finishes a stalled box from the
     point last read. bracket_log, when a list, receives a BracketState per box.
     """
-    m = mtx.entries
-    n = mtx.n
+    n = m.shape[0]
     lower = np.zeros(n)
     upper = np.empty(n)
     # At the origin F is undefined exactly on the rows with a zero diagonal.
@@ -288,7 +287,7 @@ def _bracket(mtx, cls, config, bracket_log=None, method="bracket") -> SolveResul
     best = _result(point, iterations, method, trace, False, cls)
     rest = replace(config, max_iter=max(1, config.max_iter - iterations))
     try:
-        fin = solve_newton(mtx, best.x, rest, _cls=cls)
+        fin = solve_newton(m, best.x, rest, _cls=cls)
     except ConvergenceError as err:
         raise ConvergenceError(
             f"{method} stalled at gap {gap:.3e} and the Newton fallback failed: {err}", result=best
@@ -303,15 +302,15 @@ def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -
     scale. Every operation of its loop, products with M included, scales
     exactly under M -> 4^j M, x -> x / 2^j, so x(4^j M) = x(M) / 2^j holds
     bitwise unless an intermediate leaves the normal range. M is validated by
-    _prepare unless the caller passes its Classification as _cls. An explicit
-    x0 is used as given. The default start, _swept_start, is
-    r = 1/sqrt(rowsum(M)) refined by Sinkhorn pairs z <- 1/(M(1/(Mz))) and
-    one closing half step y <- y - G(y)/2. Near the solution a pair
-    multiplies the error by S^2, S = diag(x) M diag(x) stochastic: by
-    lambda^2 on an eigenvalue lambda of S, small on dense inputs, near 1
-    where lambda_2 is near -1, where Newton takes over after a pair or two.
-    Pairs leave the overall scale, and modes with lambda near 1, alone; the
-    half step removes them.
+    _prepare unless the caller passes M's entries, as _prepare returns them,
+    and their Classification as _cls. An explicit x0 is used as given. The
+    default start, _swept_start, is r = 1/sqrt(rowsum(M)) refined by Sinkhorn
+    pairs z <- 1/(M(1/(Mz))) and one closing half step y <- y - G(y)/2. Near
+    the solution a pair multiplies the error by S^2, S = diag(x) M diag(x)
+    stochastic: by lambda^2 on an eigenvalue lambda of S, small on dense
+    inputs, near 1 where lambda_2 is near -1, where Newton takes over after a
+    pair or two. Pairs leave the overall scale, and modes with lambda near 1,
+    alone; the half step removes them.
 
     With g = log1p(x*(Mx) - 1) the step s solves
     (I + diag(1/Mx) M diag(x)) s = -g: from n = KRYLOV_MIN_N on by matrix-free
@@ -330,19 +329,15 @@ def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -
     spent budget or a line search that fails ConvergenceError; both carry the
     last iterate as a non-converged result.
     """
-    if _cls is None:
-        M, config, _cls = _prepare(M, config)
-    m = M.entries
-    n = M.n
+    m, config, _cls = _prepare(M, config) if _cls is None else (M, config, _cls)
+    n = m.shape[0]
     iterations = 0
     jac = None
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if x0 is None:
             x, d, g, gn, mx, trace = _swept_start(m, config.tol)
         else:
-            x = as_positive_vector(x0).values
-            if x.shape[0] != n:
-                raise ValidationError(f"start point has length {x.shape[0]}, expected {n}")
+            x = _positive(x0, n)
             d, g, gn, mx = _log_defect(m, x)
             trace = [float(_kernels.vmax(np.abs(d)))]
         while trace[-1] > config.tol:
@@ -467,15 +462,15 @@ def multistart_uniqueness(M, config: SolverConfig | None = None, starts: int = 2
     """Newton from seeded random starts (components log-uniform in
     [1e-2, 1e2]); returns (first result, max pairwise inf-distance among all
     solutions). Small distances are empirical evidence of uniqueness."""
-    mtx, config, cls = _prepare(M, config)
+    m, config, cls = _prepare(M, config)
     if starts < 1:
         raise ValidationError("starts must be at least 1")
     rng = np.random.default_rng(config.seed if config.seed is not None else 0)
     first = None
     solutions = []
     for _ in range(starts):
-        x0 = 10.0 ** rng.uniform(-2.0, 2.0, mtx.n)
-        res = solve_newton(mtx, x0, config, _cls=cls)
+        x0 = 10.0 ** rng.uniform(-2.0, 2.0, m.shape[0])
+        res = solve_newton(m, x0, config, _cls=cls)
         if first is None:
             first = res
         solutions.append(res.x.values)

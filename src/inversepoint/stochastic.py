@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import vmax
-from .core import Matrix, _as_vector_array, as_positive_vector
-from .errors import ValidationError
+from .core import _entries, _positive
 
 
 @dataclass(frozen=True)
@@ -27,12 +26,8 @@ class StochasticCertificate:
 
 
 def certify(M, x) -> StochasticCertificate:
-    mtx = Matrix._view(M)  # an ndarray is read in place: no n x n copy or mask
-    m = mtx.entries
-    # A Matrix was checked when it was built; NaN fails both comparisons.
-    if mtx is not M and not (m.min() > -np.inf and m.max() < np.inf):
-        raise ValidationError("matrix entries must be finite (no NaN or infinity)")
-    v = _as_vector_array(as_positive_vector(x).values, m.shape[0])
+    m = _entries(M, checked=True)
+    v = _positive(x, m.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
         sandwich = v[:, None] * m  # diag(x) M diag(x) in one n x n buffer
         row_sums = np.multiply(sandwich, v, out=sandwich).sum(axis=1)

@@ -173,6 +173,8 @@ def test_perron_vector_zero_diag_example(zero_diag):
 def test_perron_vector_rejects_a_nonpositive_tol():
     with pytest.raises(ValidationError, match="tol must be positive"):
         perron_vector(Matrix([[2.0]]), tol=0.0)
+    with pytest.raises(ValidationError, match="tol must be positive"):
+        perron_vector(Matrix([[2.0]]), tol=float("nan"))  # would run its whole budget
 
 
 def test_perron_vector_budget_error_carries_best():

@@ -11,7 +11,7 @@ from conftest import TRIANGULAR_X, ZERO_DIAG_X
 from helpers import wide_range_draws
 import inversepoint
 from inversepoint import ConvergenceError, InversePointError, ValidationError, ZeroRowError, solve
-from inversepoint.cli import main
+from inversepoint.cli import _run_curves, build_parser, main
 from inversepoint.io import emit_matrix
 from inversepoint.solver import METHODS
 
@@ -333,6 +333,26 @@ def test_curves_wrong_dimension_exit_1(tmp_path, capsys):
     path = write(tmp_path, "m.csv", "1\n")
     code, _, err = run_cli(capsys, "curves", "--input", path)
     assert code == 1 and "n = 2 or 3" in err
+
+
+@pytest.mark.parametrize("flags", [["--t-max", "nan"], ["--t-max", "inf"], ["--t-max", "0"], ["--samples", "0"]], ids=str)
+def test_curves_rejects_a_bad_sample_grid_exit_1(tmp_path, capsys, flags):
+    path = write(tmp_path, "m.csv", CURVES_2D_CSV)
+    code, out, err = run_cli(capsys, "curves", "--input", path, *flags)
+    assert (code, out, err) == (1, "", "error: --samples must be >= 1 and --t-max positive\n")
+
+
+def test_curves_argument_errors_are_validation_errors(tmp_path):
+    # main's handler is the one path to exit 1.
+    square = write(tmp_path, "m.csv", CURVES_2D_CSV)
+    one = write(tmp_path, "one.csv", "1\n")
+    cases = [
+        (["--input", one], "^curves supports n = 2 or 3, got n = 1$"),
+        (["--input", square, "--t-max", "nan"], "^--samples must be >= 1 and --t-max positive$"),
+    ]
+    for argv, message in cases:
+        with pytest.raises(ValidationError, match=message):
+            _run_curves(build_parser().parse_args(["curves", *argv]))
 
 
 def test_cli_output_byte_identical_across_runs(tmp_path):

@@ -7,18 +7,23 @@ import pytest
 from conftest import SQRT2, SQRT5, TRIANGULAR_X, ZERO_DIAG_X
 from inversepoint import (
     DimensionError,
+    F_map,
     Matrix,
     PositiveVector,
+    RowContext,
     SolverConfig,
     ValidationError,
     certify,
     classify,
     contraction_condition,
     diag_sandwich,
+    emit_matrix,
     inverse_elementwise,
     is_primitive,
     matvec,
     multistart_uniqueness,
+    perron_vector,
+    residual,
     solve,
     solve_newton,
 )
@@ -49,6 +54,10 @@ def _nonfinite_inputs():
 NONFINITE = list(_nonfinite_inputs())
 
 
+def _with_ones(f):
+    return lambda m: f(m, np.ones(len(m)))
+
+
 @pytest.mark.parametrize("a", [a for _, a in NONFINITE], ids=[i for i, _ in NONFINITE])
 def test_every_entry_point_rejects_nonfinite_entries(a):
     # The solvers' prologue leaves the check to classify, which takes it from
@@ -56,7 +65,8 @@ def test_every_entry_point_rejects_nonfinite_entries(a):
     # maximum. A check that caught NaN alone would let both infinities through.
     calls = [classify, lambda m: multistart_uniqueness(m, starts=2)]
     calls += [lambda m, k=k: solve(m, SolverConfig(method=k)) for k in ("auto", "bracket", "contraction", "newton")]
-    calls.append(lambda m: certify(m, np.ones(len(m))))
+    calls += [_with_ones(f) for f in (certify, matvec, residual, F_map, diag_sandwich)]
+    calls += [perron_vector, lambda m: RowContext.from_matrix(m, 0), oracle_solve, emit_matrix]
     for given in (a, a.tolist()):
         for call in calls:
             with pytest.raises(ValidationError, match=r"^matrix entries must be finite \(no NaN or infinity\)$"):
@@ -103,6 +113,35 @@ def test_the_hypothesis_checks_make_no_n_by_n_temporary(entry, kind):
     entry(a)
     _, peak = _peak_bytes(lambda: entry(a))
     assert peak < n * n / 2, peak
+    assert a.flags.writeable
+
+
+@pytest.mark.parametrize("kind", ["positive", "zero_diagonal"])
+@pytest.mark.parametrize(
+    "entry",
+    [_with_ones(matvec), _with_ones(residual), _with_ones(F_map), perron_vector, lambda m: RowContext.from_matrix(m, 1)],
+    ids=["matvec", "residual", "F_map", "perron_vector", "RowContext.from_matrix"],
+)
+def test_the_read_only_functions_make_no_n_by_n_temporary(entry, kind):
+    # Reading M as a Matrix, a copy and an np.isfinite mask, peaked at 9 n^2
+    # bytes; read in place, each allocates vectors only.
+    a = _large(kind)
+    n = a.shape[0]
+    entry(a)
+    _, peak = _peak_bytes(lambda: entry(a))
+    assert peak < n * n / 2, peak
+    assert a.flags.writeable
+
+
+def test_emit_matrix_reads_an_ndarray_in_place():
+    # Its own output and the row strings joined into it take about twice the
+    # output's length; a copy of M would add 8n^2 bytes and a mask n^2.
+    a = _large("positive")
+    n = a.shape[0]
+    ref = emit_matrix(Matrix(a))
+    out, peak = _peak_bytes(lambda: emit_matrix(a))
+    assert out == ref
+    assert peak < 2 * len(out) + n * n / 2, (peak, len(out))
     assert a.flags.writeable
 
 
@@ -192,6 +231,18 @@ def test_matrix_is_immutable():
         m.entries[0, 0] = 2.0
     with pytest.raises(AttributeError):
         m.entries = np.ones((2, 2))
+
+
+def test_positive_vector_array_honours_copy():
+    v = PositiveVector([2.0, 0.5])
+    fresh = np.array(v, copy=True)
+    assert fresh.flags.writeable and not np.shares_memory(fresh, v.values)
+    fresh[0] = 3.0
+    assert v.values[0] == 2.0
+    assert np.asarray(v) is v.values
+    assert np.asarray(v, dtype=np.float32).tolist() == [2.0, 0.5]
+    with pytest.raises(ValueError):
+        np.array(v, dtype=np.float32, copy=False)
 
 
 def test_positive_vector_validation():

@@ -40,6 +40,14 @@ def test_row_context_rejects_negative_entries():
         ctx(0, 1.0, [-0.5])
 
 
+def test_row_context_rejects_a_misshapen_or_non_finite_row():
+    with pytest.raises(DimensionError, match="off_diagonal must be 1-d"):
+        ctx(0, 1.0, [[0.5, 0.5]])
+    for diagonal, off in ((float("nan"), [0.5]), (1.0, [float("inf")]), (1.0, [float("nan")])):
+        with pytest.raises(ValidationError, match="^row 0 has non-finite entries$"):
+            ctx(0, diagonal, off)
+
+
 def test_b_value_examples():
     assert b_value(ctx(0, 1.0, [0.0, 0.0]), [7.0, 9.0]) == 0.0
     # second row of the triangular example: only x_1 contributes

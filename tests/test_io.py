@@ -85,6 +85,24 @@ def test_parse_json_structure_errors():
         parse_matrix('{"n": 1, "rows": [[-3]]}', fmt="json")
     with pytest.raises(ValidationError):
         parse_matrix('{"n": 1, "rows": [[NaN]]}', fmt="json")
+    for n in ("0", "-1", "1.0", "true", '"1"'):
+        with pytest.raises(ValidationError, match='^"n" must be a positive integer'):
+            parse_matrix(f'{{"n": {n}, "rows": [[1]]}}', fmt="json")
+    with pytest.raises(ValidationError, match="^row 1 must be a list of 2 numbers$") as err:
+        parse_matrix('{"n": 2, "rows": [[1, 2], 3]}', fmt="json")
+    assert err.value.line == 2
+
+
+def test_every_reader_and_writer_rejects_an_unknown_format(triangular):
+    res = solve(triangular)
+    calls = [
+        lambda: parse_matrix("1\n", fmt="tsv"),
+        lambda: emit_matrix(triangular, fmt="tsv"),
+        lambda: emit_result(res, fmt="csv"),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="^format must be one of"):
+            call()
 
 
 def test_matrix_round_trip_exact_csv_and_json():
@@ -140,6 +158,15 @@ def test_emit_result_tsv(triangular):
     assert float(lines[0].split("\t")[1]) == res.x.values[0]
     tag, value = lines[3].split("\t")
     assert tag == "residual" and float(value) == res.residual
+
+
+def test_emit_result_tsv_with_trace(curves_2d):
+    res = solve(curves_2d)
+    lines = emit_result(res, "tsv", include_trace=True).splitlines()
+    assert len(lines) == 3 + len(res.trace)
+    assert lines[:3] == emit_result(res, "tsv").splitlines()
+    assert [line.split("\t")[0] for line in lines[3:]] == ["trace"] * len(res.trace)
+    assert [float(line.split("\t")[1]) for line in lines[3:]] == res.trace.tolist()
 
 
 def test_emit_result_non_converged_keeps_best_iterate(curves_2d):

@@ -57,6 +57,13 @@ def test_oracle_rejects_large_n():
         oracle_solve(Matrix(np.eye(6)))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan")])
+def test_oracle_rejects_a_nonpositive_tol(tol):
+    # A NaN tol would run the whole sweep budget before failing.
+    with pytest.raises(ValidationError, match="^tol must be positive$"):
+        oracle_solve(Matrix(np.eye(2)), tol=tol)
+
+
 def test_oracle_rejects_zero_row():
     with pytest.raises(ZeroRowError):
         oracle_solve(Matrix([[1.0, 1.0], [0.0, 0.0]]))

@@ -16,6 +16,7 @@ import inversepoint
 from inversepoint import (
     ContractionPreconditionError,
     ConvergenceError,
+    DimensionError,
     F_map,
     Matrix,
     NonNegativityError,
@@ -54,6 +55,8 @@ def test_solverconfig_validation():
         SolverConfig(tol=float("nan"))
     with pytest.raises(ValidationError):
         SolverConfig(max_iter=0)
+    with pytest.raises(ValidationError, match="max_iter must be at least 1"):
+        SolverConfig(max_iter=float("nan"))  # the bracket's budget check would never fire
     with pytest.raises(ValidationError):
         SolverConfig(method="simplex")
 
@@ -315,7 +318,7 @@ def test_solve_newton_budget_error_carries_best(curves_2d):
 
 
 def test_solve_newton_rejects_a_start_of_the_wrong_length(triangular):
-    with pytest.raises(ValidationError, match="start point has length 2, expected 3"):
+    with pytest.raises(DimensionError, match="^vector has length 2, expected 3$"):
         solve_newton(triangular, [1.0, 1.0])
 
 

@@ -18,7 +18,6 @@ from .classify import (
 from .core import (
     Matrix,
     PositiveVector,
-    as_matrix,
     as_positive_vector,
     diag_sandwich,
     inverse_elementwise,
@@ -77,7 +76,6 @@ __all__ = [
     "StochasticCertificate",
     "ValidationError",
     "ZeroRowError",
-    "as_matrix",
     "as_positive_vector",
     "b_value",
     "certify",

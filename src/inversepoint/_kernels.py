@@ -2,9 +2,8 @@
 
 ``BACKEND`` names the kernel implementation and is always ``"numpy"``.
 
-All kernels operate on raw float64 ndarrays and never raise; failure is
-reported through sentinel return values that the wrapping modules translate
-into package exceptions.
+The kernels take raw float64 ndarrays, return what they compute and write
+to no argument. f_apply raises ZeroRowError where F is undefined.
 
 vmax and vmin reduce a vector as v[v.argmax()] and v[v.argmin()]: the same
 value as v.max() and v.min(), the first NaN included, and on a bool vector
@@ -21,6 +20,8 @@ return the other; no caller reduces a -0.0.
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import ZeroRowError
 
 BACKEND = "numpy"
 
@@ -46,18 +47,17 @@ def positive_root(d, b):
     return 2.0 / (b + np.hypot(b, 2.0 * np.sqrt(d)))
 
 
-def f_apply(m, x, out) -> int:
-    """Apply the per-row root update: out_i = root of row i given the other
-    coordinates of x. Returns -1, or the first row where the root is undefined
-    (zero diagonal and zero off-diagonal contribution)."""
+def f_apply(m, x) -> np.ndarray:
+    """F(x): row i's positive root given the other coordinates of x. Raises
+    ZeroRowError at the first row where it is undefined (zero diagonal and
+    zero off-diagonal contribution)."""
     d = m.diagonal()
     b = m.dot(x) - d * x
     bad = (d == 0.0) & (b <= 0.0)
     i = int(bad.argmax())
     if bad[i]:
-        return i
-    out[:] = positive_root(d, b)
-    return -1
+        raise ZeroRowError(i)
+    return positive_root(d, b)
 
 
 def residual_inf(m, x) -> float:
@@ -72,11 +72,12 @@ def quad_defect(m, x) -> tuple[np.ndarray, np.ndarray]:
     return x * mx - 1.0, mx
 
 
-def newton_system(m, x, mx, jac) -> None:
-    """Fill jac with the Jacobian J_ij = x_i*m_ij + delta_ij*(Mx)_i of the
-    quadratic defect at x, given the product mx = Mx."""
-    np.multiply(x[:, None], m, out=jac)
+def newton_system(m, x, mx) -> np.ndarray:
+    """The Jacobian J_ij = x_i*m_ij + delta_ij*(Mx)_i of the quadratic defect
+    at x, given the product mx = Mx."""
+    jac = x[:, None] * m
     jac.reshape(-1)[:: m.shape[0] + 1] += mx
+    return jac
 
 
 def krylov_step(a, x, ax, g, eta, maxit):

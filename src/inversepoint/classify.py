@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import vmax, vmin
-from .core import PositiveVector, _entries
+from .core import PositiveVector, _count, _entries
 from .errors import ConvergenceError, NonNegativityError, NotPrimitiveError, ValidationError
 
 
@@ -112,6 +112,7 @@ def perron_vector(M, tol: float = 1e-12, max_iter: int = 100000) -> tuple[Positi
     m = _entries(M)
     if not tol > 0:  # NaN too: the loop would run its whole budget
         raise ValidationError("tol must be positive")
+    max_iter = _count(max_iter, "max_iter")
     if not is_primitive(m):  # checks finiteness
         raise NotPrimitiveError("power iteration requires a primitive matrix")
     v = np.ones(m.shape[0])

@@ -16,7 +16,7 @@ import sys
 from .classify import classify
 from .errors import ConvergenceError, InversePointError, ValidationError, ZeroRowError
 from .fixedpoint import RowContext, f_value
-from .io import emit_classification, emit_result, parse_matrix
+from .io import MATRIX_FORMATS, RESULT_FORMATS, emit_classification, emit_result, parse_matrix
 from .solver import METHODS, SolverConfig, solve
 
 
@@ -30,20 +30,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve for the scaling vector")
     p_solve.add_argument("--input", required=True, help="matrix file")
-    p_solve.add_argument("--format", choices=["csv", "json"], default="csv")
+    p_solve.add_argument("--format", choices=MATRIX_FORMATS, default="csv")
     p_solve.add_argument("--tol", type=float, default=1e-12)
     p_solve.add_argument("--max-iter", type=int, default=10000)
     p_solve.add_argument("--method", choices=METHODS, default="auto")
-    p_solve.add_argument("--output", choices=["json", "tsv"], default="json")
+    p_solve.add_argument("--output", choices=RESULT_FORMATS, default="json")
     p_solve.add_argument("--trace", action="store_true", help="include the residual trace")
 
     p_check = sub.add_parser("check", help="emit the matrix classification as JSON")
     p_check.add_argument("--input", required=True, help="matrix file")
-    p_check.add_argument("--format", choices=["csv", "json"], default="csv")
+    p_check.add_argument("--format", choices=MATRIX_FORMATS, default="csv")
 
     p_curves = sub.add_parser("curves", help="sample solution curves (n=2) or surfaces (n=3)")
     p_curves.add_argument("--input", required=True, help="matrix file")
-    p_curves.add_argument("--format", choices=["csv", "json"], default="csv")
+    p_curves.add_argument("--format", choices=MATRIX_FORMATS, default="csv")
     p_curves.add_argument("--samples", type=int, default=200)
     p_curves.add_argument("--t-max", type=float, default=1.5)
     return parser
@@ -53,7 +53,7 @@ def _load_matrix(args):
     try:
         with open(args.input, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ValidationError(f"cannot read {args.input}: {err}") from err
     return parse_matrix(text, args.format)
 

@@ -8,6 +8,8 @@ taken once per entry point, so the hot paths can stay check-free.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from ._kernels import vmax, vmin
@@ -35,9 +37,6 @@ class Matrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    def row(self, i: int) -> np.ndarray:
-        return self.entries[i]
 
     def __repr__(self) -> str:
         return f"Matrix({self.entries.tolist()!r})"
@@ -97,11 +96,6 @@ class PositiveVector:
         return f"PositiveVector({self.values.tolist()!r})"
 
 
-def as_matrix(M) -> Matrix:
-    """Coerce an array-like (or pass through a Matrix) with full validation."""
-    return M if isinstance(M, Matrix) else Matrix(M)
-
-
 def as_positive_vector(v) -> PositiveVector:
     return v if isinstance(v, PositiveVector) else PositiveVector(v)
 
@@ -113,6 +107,17 @@ def _as_vector_array(v, n: int) -> np.ndarray:
     if a.shape[0] != n:
         raise DimensionError(f"vector has length {a.shape[0]}, expected {n}")
     return a
+
+
+def _count(v, name: str) -> int:
+    """v as an int of at least 1; numpy integers pass, 0, NaN and 2.5 do not."""
+    try:
+        k = operator.index(v)
+    except TypeError:
+        k = 0
+    if k < 1:
+        raise ValidationError(f"{name} must be at least 1 (an integer), got {v!r}")
+    return k
 
 
 def _positive(x, n: int) -> np.ndarray:

@@ -92,12 +92,7 @@ def F_map(M, x) -> PositiveVector:
     m = _entries(M, checked=True)
     if m.min() < 0:
         raise NonNegativityError("the update map is defined for nonnegative matrices only")
-    a = _point(x, m.shape[0])
-    out = np.empty(m.shape[0])
-    bad = _kernels.f_apply(m, a, out)
-    if bad >= 0:
-        raise ZeroRowError(int(bad))
-    return PositiveVector(out)
+    return PositiveVector(_kernels.f_apply(m, _point(x, m.shape[0])))
 
 
 def residual(M, x) -> float:

@@ -99,7 +99,11 @@ def _parse_json(text: str) -> Matrix:
                 raise ValidationError(
                     f"row {i}, column {j}: not a number: {v!r}", line=i + 1, column=j + 1
                 )
-            values.append(_check_entry(float(v), i + 1, j + 1))
+            try:
+                v = float(v)
+            except OverflowError:  # an integer beyond the double range, as 1e400 reads inf
+                v = np.inf if v > 0 else -np.inf
+            values.append(_check_entry(v, i + 1, j + 1))
         data.append(values)
     return Matrix(data)
 

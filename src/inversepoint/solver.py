@@ -39,7 +39,7 @@ import numpy as np
 
 from . import _kernels
 from .classify import Classification, classify
-from .core import PositiveVector, _entries, _positive, validate_solvable
+from .core import PositiveVector, _count, _entries, _positive, validate_solvable
 from .errors import (
     ContractionPreconditionError,
     ConvergenceError,
@@ -217,12 +217,17 @@ def solve_bracket(M, config: SolverConfig | None = None, *, bracket_log=None) ->
     odd iterates descend toward it, so Box(even, odd) is a shrinking bracket.
     Stops on the midpoint residual; if the gap stalls (shrinks by less than
     STALL_RATIO for STALL_ROUNDS consecutive corners), a damped-Newton pass
-    from the midpoint finishes the job. A zero on the diagonal raises
-    ZeroRowError: F is undefined at the origin there.
+    from the midpoint finishes the job. Where the Classification reports no
+    positive diagonal, ZeroRowError names the first zero on it: F is
+    undefined at the origin there.
 
     bracket_log, when a list, receives a BracketState per corner update.
     """
     m, config, cls = _prepare(M, config)
+    if not cls.positive_diagonal:
+        i = int(m.diagonal().argmin())  # the diagonal is nonnegative: its first zero
+        raise ZeroRowError(i, f"bracketing starts at the zero vector, where row {i} (zero diagonal) "
+                           "has no positive root; use auto or newton instead")
     return _bracket(m, cls, config, bracket_log)
 
 
@@ -237,21 +242,14 @@ def _bracket(m, cls, config, bracket_log=None, method="bracket") -> SolveResult:
     shrink below STALL_RATIO times the last one for STALL_ROUNDS rounds in a
     row (a box collapsed to a point included). It never compares a width with
     tol, so it obeys the scale law. Newton finishes a stalled box from the
-    point last read. bracket_log, when a list, receives a BracketState per box.
+    point last read. bracket_log, when a list, receives a BracketState per box,
+    whose corners are fresh arrays that nothing writes. The caller checks
+    cls.positive_diagonal, so F is defined at every point the loop reads.
     """
-    n = m.shape[0]
-    lower = np.zeros(n)
-    upper = np.empty(n)
-    # At the origin F is undefined exactly on the rows with a zero diagonal.
-    i = _kernels.f_apply(m, lower, upper)
-    if i >= 0:
-        raise ZeroRowError(
-            i,
-            f"bracketing starts at the zero vector, where row {i} (zero diagonal) "
-            "has no positive root; use auto or newton instead",
-        )
+    lower = np.zeros(m.shape[0])
+    upper = _kernels.f_apply(m, lower)
     if bracket_log is not None:
-        bracket_log.append(BracketState(lower.copy(), upper.copy()))
+        bracket_log.append(BracketState(lower, upper))
     corner = method == "contraction"
     x = point = upper
     r = float(_kernels.residual_inf(m, x)) if corner else np.inf
@@ -263,16 +261,14 @@ def _bracket(m, cls, config, bracket_log=None, method="bracket") -> SolveResult:
         while not r <= config.tol and stall < STALL_ROUNDS:
             if iterations >= config.max_iter:
                 raise _convergence_error(point, iterations, method, trace, cls)
-            nxt = np.empty(n)
-            _kernels.f_apply(m, x, nxt)  # defined everywhere: the diagonal is positive
-            x = nxt
+            x = _kernels.f_apply(m, x)
             iterations += 1
             if iterations % 2:
                 lower = x
             else:
                 upper = x
             if bracket_log is not None:
-                bracket_log.append(BracketState(lower.copy(), upper.copy()))
+                bracket_log.append(BracketState(lower, upper))
             point = x if corner else 0.5 * (lower + upper)
             width = float(_kernels.vmax(upper - lower))
             stall = stall + 1 if width >= STALL_RATIO * gap else 0
@@ -332,7 +328,6 @@ def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -
     m, config, _cls = _prepare(M, config) if _cls is None else (M, config, _cls)
     n = m.shape[0]
     iterations = 0
-    jac = None
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if x0 is None:
             x, d, g, gn, mx, trace = _swept_start(m, config.tol)
@@ -355,11 +350,8 @@ def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -
                 eta = min(0.5, max(gn, 0.5 * config.tol / float(np.sqrt(g @ g))))
                 s = _kernels.krylov_step(m, x, mx, g, eta, KRYLOV_MAX_ITER)
             if s is None:
-                if jac is None:
-                    jac = np.empty((n, n))
-                _kernels.newton_system(m, x, mx, jac)
                 try:
-                    s = np.linalg.solve(jac, -(1.0 + d) * g) / x
+                    s = np.linalg.solve(_kernels.newton_system(m, x, mx), -(1.0 + d) * g) / x
                 except np.linalg.LinAlgError:
                     pass
             # smax is inf or NaN unless a finite step was found.
@@ -462,9 +454,8 @@ def multistart_uniqueness(M, config: SolverConfig | None = None, starts: int = 2
     """Newton from seeded random starts (components log-uniform in
     [1e-2, 1e2]); returns (first result, max pairwise inf-distance among all
     solutions). Small distances are empirical evidence of uniqueness."""
+    starts = _count(starts, "starts")
     m, config, cls = _prepare(M, config)
-    if starts < 1:
-        raise ValidationError("starts must be at least 1")
     rng = np.random.default_rng(config.seed if config.seed is not None else 0)
     first = None
     solutions = []

@@ -177,6 +177,14 @@ def test_perron_vector_rejects_a_nonpositive_tol():
         perron_vector(Matrix([[2.0]]), tol=float("nan"))  # would run its whole budget
 
 
+@pytest.mark.parametrize("max_iter", [0, float("nan"), 2.5])
+def test_perron_vector_rejects_a_count_that_is_not_a_positive_integer(max_iter):
+    with pytest.raises(ValidationError, match="^max_iter must be at least 1 \\(an integer\\)"):
+        perron_vector(Matrix([[2.0]]), max_iter=max_iter)
+    v, lam = perron_vector(Matrix([[2.0]]), max_iter=np.int64(1))
+    assert lam == 2.0
+
+
 def test_perron_vector_budget_error_carries_best():
     # The budget error states the eigenvalue estimate and the defect
     # max|Mv - lambda v| it reached; it has no SolveResult, so result is None.

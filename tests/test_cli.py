@@ -204,6 +204,19 @@ def test_solve_missing_file_exit_1(tmp_path, capsys):
     assert code == 1 and "cannot read" in err
 
 
+def test_solve_file_that_is_not_utf8_exit_1(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("1,2\n3,4\xe9\n".encode("latin-1"))
+    code, out, err = run_cli(capsys, "solve", "--input", str(path))
+    assert code == 1 and out == "" and err.startswith(f"error: cannot read {path}")
+
+
+def test_solve_json_integer_beyond_the_double_range_exit_1(tmp_path, capsys):
+    path = write(tmp_path, "big.json", '{"n":1,"rows":[[1' + "0" * 400 + "]]}")
+    code, out, err = run_cli(capsys, "solve", "--input", path, "--format", "json")
+    assert (code, out, err) == (1, "", "error: entry is not finite: inf\n")
+
+
 def test_solve_json_input_and_tsv_output(tmp_path, capsys):
     path = write(tmp_path, "m.json", '{"n": 2, "rows": [[1, 3], [5, 2]]}')
     code, out, err = run_cli(

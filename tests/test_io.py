@@ -58,6 +58,19 @@ def test_parse_csv_rejects_non_square():
         parse_matrix("1,2\n3,4\n5,6\n")
 
 
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_parse_json_reports_an_integer_beyond_the_double_range_as_1e400(sign):
+    # float() of such an integer overflows; the entry reads as the float
+    # literal 1e400 does, as an infinity at its row and column.
+    big = sign + "1" + "0" * 400
+    want = {}
+    for entry in (big, sign + "1e400"):
+        with pytest.raises(ValidationError) as err:
+            parse_matrix(f'{{"n": 2, "rows": [[1, 2], [3, {entry}]]}}', fmt="json")
+        want[entry] = (str(err.value), err.value.line, err.value.column)
+    assert want[big] == want[sign + "1e400"] == (f"entry is not finite: {sign}inf", 2, 2)
+
+
 def test_parse_csv_empty():
     with pytest.raises(ParseError):
         parse_matrix("\n\n")

@@ -64,6 +64,13 @@ def test_oracle_rejects_a_nonpositive_tol(tol):
         oracle_solve(Matrix(np.eye(2)), tol=tol)
 
 
+@pytest.mark.parametrize("max_sweeps", [0, float("nan"), 2.5])
+def test_oracle_rejects_a_count_that_is_not_a_positive_integer(max_sweeps):
+    with pytest.raises(ValidationError, match="^max_sweeps must be at least 1 \\(an integer\\)"):
+        oracle_solve(Matrix(np.eye(2)), max_sweeps=max_sweeps)
+    assert np.array_equal(oracle_solve(Matrix(np.eye(2)), max_sweeps=np.int64(1)).values, [1.0, 1.0])
+
+
 def test_oracle_rejects_zero_row():
     with pytest.raises(ZeroRowError):
         oracle_solve(Matrix([[1.0, 1.0], [0.0, 0.0]]))

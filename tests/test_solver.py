@@ -167,6 +167,20 @@ def test_solve_bracket_zero_diagonal_rejected(zero_diag):
     assert err.value.row == 0
 
 
+def test_solve_bracket_names_the_first_zero_on_the_diagonal_without_applying_f(monkeypatch):
+    # Row 1 is the first zero on the diagonal; the classification alone
+    # rejects the matrix, before F is applied at all.
+    monkeypatch.setattr("inversepoint._kernels.f_apply", None)
+    m = Matrix([[1.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    with pytest.raises(ZeroRowError) as err:
+        solve_bracket(m)
+    assert err.value.row == 1
+    assert str(err.value) == (
+        "bracketing starts at the zero vector, where row 1 (zero diagonal) "
+        "has no positive root; use auto or newton instead"
+    )
+
+
 def test_solve_bracket_budget_exhaustion_carries_best(curves_2d):
     with pytest.raises(ConvergenceError) as err:
         solve_bracket(curves_2d, SolverConfig(max_iter=3))
@@ -409,6 +423,14 @@ def test_a_positive_diagonal_alone_gives_one_solution():
 def test_multistart_rejects_no_starts(triangular):
     with pytest.raises(ValidationError, match="starts must be at least 1"):
         multistart_uniqueness(triangular, starts=0)
+
+
+@pytest.mark.parametrize("starts", [float("nan"), 2.5])
+def test_multistart_rejects_a_count_that_is_not_a_positive_integer(triangular, starts):
+    with pytest.raises(ValidationError, match="^starts must be at least 1 \\(an integer\\)"):
+        multistart_uniqueness(triangular, starts=starts)
+    first, _ = multistart_uniqueness(triangular, starts=np.int64(2))
+    assert first.converged
 
 
 def test_multistart_seed_controls_starts(zero_diag):

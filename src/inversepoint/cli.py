@@ -2,10 +2,11 @@
 
 Subcommands: solve (find the scaling vector), check (emit the matrix
 classification), curves (sample the per-row solution curves/surfaces for
-n = 2 or 3). Results go to stdout, diagnostics to stderr. Exit codes follow
-the two error families of errors.py: 0 success, 1 for a ValidationError
-(invalid input or violated precondition), 2 for a ConvergenceError (the
-numerics failed; the best iterate is still emitted when there is one).
+n = 2 or 3). Results go to stdout, diagnostics to stderr. main alone maps
+an error to an exit code, by the error families of errors.py: 0 success, 1 for
+a ValidationError (invalid input or violated precondition), 2 for a
+ConvergenceError (the numerics failed; the best iterate is still emitted when
+there is one).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_matrix(args):
     try:
-        with open(args.input, "r", encoding="utf-8") as handle:
+        with open(args.input, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as err:
         raise ValidationError(f"cannot read {args.input}: {err}") from err
@@ -65,11 +66,8 @@ def _run_solve(args) -> int:
         result = solve(mtx, config)
     except ConvergenceError as err:
         if err.result is not None:
-            sys.stdout.write(
-                emit_result(err.result, args.output, matrix=mtx, include_trace=args.trace)
-            )
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+            sys.stdout.write(emit_result(err.result, args.output, matrix=mtx, include_trace=args.trace))
+        raise
     sys.stdout.write(emit_result(result, args.output, matrix=mtx, include_trace=args.trace))
     return 0
 

@@ -28,7 +28,7 @@ class Matrix:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        a = _entries(np.array(entries, dtype=np.float64, order="C"), checked=True)
+        a = _entries(_reals(entries, copy=True, order="C"), checked=True)
         object.__setattr__(self, "entries", a)
 
     def __setattr__(self, name, value):
@@ -40,6 +40,19 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({self.entries.tolist()!r})"
+
+
+def _reals(v, copy=False, order="K") -> np.ndarray:
+    """v as a float64 ndarray, a copy if copy is set. ValidationError where numpy
+    cannot read v as doubles: ragged, text, an int beyond the double range, or
+    complex, which it would cast."""
+    try:
+        a = np.asarray(v)
+        if a.dtype.kind == "c":
+            raise TypeError("complex numbers have no real value")
+        return (np.array if copy else np.asarray)(a, dtype=np.float64, order=order)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ValidationError(f"entries must be real numbers: {err}") from None
 
 
 def _finite(a) -> bool:
@@ -55,7 +68,7 @@ def _entries(M, checked: bool = False) -> np.ndarray:
     checked=True rejects NaN and infinity, which a Matrix never holds."""
     if isinstance(M, Matrix):
         return M.entries
-    a = np.asarray(M, dtype=np.float64, order="C")
+    a = _reals(M, order="C")
     if a.flags.writeable:
         a = a.view()
         a.setflags(write=False)
@@ -72,7 +85,7 @@ class PositiveVector:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        v = np.array(values, dtype=np.float64)
+        v = _reals(values, copy=True)
         if v.ndim != 1 or v.shape[0] == 0:
             raise DimensionError(f"expected a 1-d vector, got shape {v.shape}")
         lo, hi = vmin(v), vmax(v)  # v is a fresh copy, which argmin and argmax do not copy again
@@ -101,7 +114,7 @@ def as_positive_vector(v) -> PositiveVector:
 
 
 def _as_vector_array(v, n: int) -> np.ndarray:
-    a = np.asarray(v, dtype=np.float64)
+    a = _reals(v)
     if a.ndim != 1:
         raise DimensionError(f"expected a 1-d vector, got shape {a.shape}")
     if a.shape[0] != n:

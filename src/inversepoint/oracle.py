@@ -19,10 +19,9 @@ MAX_ORACLE_N = 5
 
 def _sweeps(m, x, tol, max_sweeps):
     """Sweep i = 0..n-1 in order, setting x_i to the positive root of row i's
-    scalar quadratic found by bisection on [1e-12, 1e6]. Updates x in place.
-
-    Returns (status, sweeps): status 0 converged, 1 sweep budget exhausted,
-    2 bisection bracket failed (no sign change on the interval).
+    scalar quadratic found by bisection on [1e-12, 1e6]. Updates x in place
+    and returns the number of sweeps that reached tol. OracleDivergenceError
+    reports a root outside the bisection interval or a spent budget.
     """
     n = m.shape[0]
     for sweep in range(max_sweeps):
@@ -37,7 +36,9 @@ def _sweeps(m, x, tol, max_sweeps):
             glo = mii * lo * lo + b * lo - 1.0
             ghi = mii * hi * hi + b * hi - 1.0
             if glo > 0.0 or ghi < 0.0:
-                return 2, sweep
+                raise OracleDivergenceError(
+                    f"bisection bracket [1e-12, 1e6] does not straddle a root after {sweep} sweeps"
+                )
             while hi - lo > 1e-15 * (1.0 + lo):
                 mid = 0.5 * (lo + hi)
                 if mid <= lo or mid >= hi:
@@ -57,8 +58,8 @@ def _sweeps(m, x, tol, max_sweeps):
             if r > worst:
                 worst = r
         if worst <= tol:
-            return 0, sweep + 1
-    return 1, max_sweeps
+            return sweep + 1
+    raise OracleDivergenceError(f"coordinate descent did not reach tol={tol} within {max_sweeps} sweeps")
 
 
 def oracle_solve(M, tol: float = 1e-12, max_sweeps: int = 10**6) -> PositiveVector:
@@ -71,13 +72,5 @@ def oracle_solve(M, tol: float = 1e-12, max_sweeps: int = 10**6) -> PositiveVect
     max_sweeps = _count(max_sweeps, "max_sweeps")
     validate_solvable(m)
     x = np.ones(n)
-    status, sweeps = _sweeps(m, x, tol, max_sweeps)
-    if status == 2:
-        raise OracleDivergenceError(
-            f"bisection bracket [1e-12, 1e6] does not straddle a root after {sweeps} sweeps"
-        )
-    if status != 0:
-        raise OracleDivergenceError(
-            f"coordinate descent did not reach tol={tol} within {max_sweeps} sweeps"
-        )
+    _sweeps(m, x, tol, max_sweeps)
     return PositiveVector(x)

@@ -74,12 +74,6 @@ NEWTON_MAX_STEP = 4.0
 # slower per solve), where 10 and 30 tied.
 SWEEP_MIN_RATE = 10.0
 
-# Auto's Newton pass hands over to the bracket after this many steps. A step
-# costs an LU solve or a GMRES run where a bracket round costs one product with
-# M, so max_iter is no bound for it; on the benchmark inputs and the hard cases
-# it needs at most eight.
-AUTO_NEWTON_MAX_STEPS = 100
-
 # From n = KRYLOV_MIN_N (the measured crossover) a Newton step is matrix-free GMRES,
 # O(n^2) per iteration, not an O(n^3) LU, which stays the fallback after KRYLOV_MAX_ITER.
 KRYLOV_MIN_N = 128
@@ -96,8 +90,7 @@ class SolverConfig:
     def __post_init__(self):
         if not self.tol > 0:  # NaN too: every residual would count as converged
             raise ValidationError("tol must be positive")
-        if not self.max_iter >= 1:  # NaN too: no budget check would ever fire
-            raise ValidationError("max_iter must be at least 1")
+        self.max_iter = _count(self.max_iter, "max_iter")
         if self.method not in METHODS:
             raise ValidationError(f"method must be one of {METHODS}, got {self.method!r}")
 
@@ -173,16 +166,14 @@ def solve(M, config: SolverConfig | None = None) -> SolveResult:
 
 
 def solve_auto(M, config: SolverConfig | None = None) -> SolveResult:
-    """Log-space Newton from its default start, at most AUTO_NEWTON_MAX_STEPS
-    steps. If it fails and the diagonal is positive, the bracket's nested
-    boxes take over, where the paper proves convergence; the result does not
-    count the failed Newton steps. Otherwise Newton's error is raised, carrying
-    its last iterate."""
+    """Log-space Newton from its default start, within config.max_iter steps
+    as method="newton" runs it. If it fails and the diagonal is positive, the
+    bracket's nested boxes take over, where the paper proves convergence; the
+    result does not count the failed Newton steps. Otherwise Newton's error is
+    raised, carrying its last iterate."""
     m, config, cls = _prepare(M, config)
-    # Built directly: dataclasses.replace costs three times as much.
-    first = SolverConfig(config.tol, min(config.max_iter, AUTO_NEWTON_MAX_STEPS), config.method, config.seed)
     try:
-        return solve_newton(m, None, first, _cls=cls)
+        return solve_newton(m, None, config, _cls=cls)
     except ConvergenceError:
         if not cls.positive_diagonal:
             raise
@@ -453,7 +444,8 @@ def _log_defect(m, x):
 def multistart_uniqueness(M, config: SolverConfig | None = None, starts: int = 20):
     """Newton from seeded random starts (components log-uniform in
     [1e-2, 1e2]); returns (first result, max pairwise inf-distance among all
-    solutions). Small distances are empirical evidence of uniqueness."""
+    solutions, taken as the widest coordinate range, the same double, in
+    O(starts * n) memory). Small distances are empirical evidence of uniqueness."""
     starts = _count(starts, "starts")
     m, config, cls = _prepare(M, config)
     rng = np.random.default_rng(config.seed if config.seed is not None else 0)
@@ -466,4 +458,4 @@ def multistart_uniqueness(M, config: SolverConfig | None = None, starts: int = 2
             first = res
         solutions.append(res.x.values)
     sol = np.array(solutions)
-    return first, float(np.max(np.abs(sol[:, None] - sol[None, :])))
+    return first, float(np.max(sol.max(axis=0) - sol.min(axis=0)))

@@ -1,8 +1,9 @@
 """Acceptance gate: one test per criterion, each at its stated tolerance.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
-criterion. Timing-sensitive criteria warm the JIT cache first so compile
-time (a build cost, cached on disk) is not billed to the solve.
+criterion. Timing-sensitive criteria run a small auto and Newton solve
+first, so the one-time cost of the first calls into numpy and LAPACK is not
+billed to the timed solve.
 """
 
 import time
@@ -43,7 +44,7 @@ FIGURE_SYSTEMS = (Matrix([[1, 3], [5, 2]]), Matrix([[1, 2, 2], [1, 1, 1], [1, 3,
 
 
 def _warmup():
-    # touches every hot kernel so timed sections measure solves, not JIT
+    # runs every hot kernel once, so timed sections measure solves, not first calls
     from inversepoint import solve_newton
 
     m = Matrix([[2.0, 0.5], [0.5, 2.0]])

@@ -211,6 +211,18 @@ def test_solve_file_that_is_not_utf8_exit_1(tmp_path, capsys):
     assert code == 1 and out == "" and err.startswith(f"error: cannot read {path}")
 
 
+@pytest.mark.parametrize("name, fmt, text", [
+    ("m.csv", "csv", CURVES_2D_CSV),
+    ("m.json", "json", '{"n": 2, "rows": [[1, 3], [5, 2]]}'),
+])
+def test_solve_file_with_a_byte_order_mark_exit_0(tmp_path, capsys, name, fmt, text):
+    plain = run_cli(capsys, "solve", "--input", write(tmp_path, name, text), "--format", fmt)
+    path = tmp_path / f"bom-{name}"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert run_cli(capsys, "solve", "--input", str(path), "--format", fmt) == plain
+    assert plain[0] == 0
+
+
 def test_solve_json_integer_beyond_the_double_range_exit_1(tmp_path, capsys):
     path = write(tmp_path, "big.json", '{"n":1,"rows":[[1' + "0" * 400 + "]]}")
     code, out, err = run_cli(capsys, "solve", "--input", path, "--format", "json")

@@ -259,6 +259,40 @@ def test_positive_vector_validation():
         v.values[0] = 3.0
 
 
+def test_positive_vector_len_and_immutability():
+    v = PositiveVector([2.0, 0.5, 1.0])
+    assert len(v) == 3
+    with pytest.raises(AttributeError, match="^PositiveVector is immutable$"):
+        v.values = np.ones(3)
+
+
+def test_matrix_repr_reads_back():
+    m = Matrix([[1.0, 0.25], [3.0, 1e-300]])
+    assert repr(m) == "Matrix([[1.0, 0.25], [3.0, 1e-300]])"
+    assert np.array_equal(eval(repr(m), {"Matrix": Matrix}).entries, m.entries)
+
+
+# (matrix, vector) pairs that numpy cannot read as doubles; numpy would cast
+# the complex array with a warning and drop its imaginary part.
+NOT_REAL = {
+    "int_beyond_the_double_range": ([[10**400, 1], [1, 1]], [1, 10**400]),
+    "ragged": ([[1.0, 2.0], [3.0]], [1.0, [2.0]]),
+    "text": ([["a", "b"], ["c", "d"]], [1.0, "x"]),
+    "complex_list": ([[2.0, 1j], [1.0, 3.0]], [1.0, 1j]),
+    "complex_array": (np.array([[2 + 5j, 1], [1, 3]]), np.array([1 + 1j, 1.0])),
+}
+
+
+@pytest.mark.parametrize("matrix, vector", NOT_REAL.values(), ids=NOT_REAL.keys())
+def test_input_that_is_not_real_numbers_is_a_validation_error(matrix, vector):
+    good, ones = np.array([[2.0, 1.0], [1.0, 3.0]]), np.ones(2)
+    takes_m = [solve, classify, Matrix] + [lambda m, f=f: f(m, ones) for f in (certify, matvec, F_map)]
+    takes_x = [PositiveVector] + [lambda x, f=f: f(good, x) for f in (certify, matvec, F_map, solve_newton)]
+    for call, arg in [(f, matrix) for f in takes_m] + [(f, vector) for f in takes_x]:
+        with pytest.raises(ValidationError, match="^entries must be real numbers: "):
+            call(arg)
+
+
 @pytest.mark.parametrize(
     "v, message",
     [

@@ -22,9 +22,8 @@ def test_oracle_identity():
 def test_oracle_sweeps_converges_on_small_system():
     m = np.array([[1.0, 3.0], [5.0, 2.0]])
     x = np.ones(2)
-    status, sweeps = _sweeps(m, x, 1e-12, 10**6)
-    assert status == 0
-    assert sweeps < 1000
+    sweeps = _sweeps(m, x, 1e-12, 10**6)
+    assert 1 <= sweeps < 1000
     assert residual(m, x) <= 1e-12
 
 
@@ -69,6 +68,15 @@ def test_oracle_rejects_a_count_that_is_not_a_positive_integer(max_sweeps):
     with pytest.raises(ValidationError, match="^max_sweeps must be at least 1 \\(an integer\\)"):
         oracle_solve(Matrix(np.eye(2)), max_sweeps=max_sweeps)
     assert np.array_equal(oracle_solve(Matrix(np.eye(2)), max_sweeps=np.int64(1)).values, [1.0, 1.0])
+
+
+def test_oracle_reports_a_spent_sweep_budget():
+    m = Matrix([[1.0, 3.0], [5.0, 2.0]])
+    with pytest.raises(OracleDivergenceError, match="^coordinate descent did not reach tol=1e-12 within 1 sweeps$"):
+        oracle_solve(m, max_sweeps=1)
+    x = np.ones(2)
+    with pytest.raises(OracleDivergenceError, match="^bisection bracket \\[1e-12, 1e6\\] does not straddle a root after 0 sweeps$"):
+        _sweeps(np.array([[1e-15]]), x, 1e-12, 10)
 
 
 def test_oracle_rejects_zero_row():

@@ -433,6 +433,36 @@ def test_multistart_rejects_a_count_that_is_not_a_positive_integer(triangular, s
     assert first.converged
 
 
+@pytest.mark.parametrize("max_iter", [2.5, float("inf")])
+def test_solverconfig_rejects_a_count_that_is_not_a_positive_integer(max_iter):
+    with pytest.raises(ValidationError, match="^max_iter must be at least 1 \\(an integer\\)"):
+        SolverConfig(max_iter=max_iter)
+    config = SolverConfig(max_iter=np.int64(3))
+    assert type(config.max_iter) is int and config.max_iter == 3
+
+
+def _pairwise_spread(sol):
+    return np.max(np.abs(sol[:, None] - sol[None, :]))
+
+
+def test_multistart_spread_is_the_largest_pairwise_distance(zero_diag):
+    # The coordinate range max - min rounds to the same double as the largest
+    # pairwise difference, also where the solutions differ in their last bits.
+    rng = np.random.default_rng(2602)
+    for _ in range(500):
+        starts, n = int(rng.integers(1, 40)), int(rng.integers(1, 8))
+        if rng.uniform() < 0.5:  # a few ulps apart, as converged solutions are
+            sol = 10.0 ** rng.uniform(-3, 3, n) * (1.0 + rng.integers(-4, 5, (starts, n)) * 2.0**-52)
+        else:
+            sol = 10.0 ** rng.uniform(-300, 300, (starts, n))
+        assert np.max(sol.max(axis=0) - sol.min(axis=0)) == _pairwise_spread(sol)
+    config = SolverConfig(seed=7)
+    _, spread = multistart_uniqueness(zero_diag, config, starts=12)
+    draws = np.random.default_rng(7)
+    sol = [solve_newton(zero_diag, 10.0 ** draws.uniform(-2.0, 2.0, 3), config).x.values for _ in range(12)]
+    assert spread == _pairwise_spread(np.array(sol))
+
+
 def test_multistart_seed_controls_starts(zero_diag):
     r1 = multistart_uniqueness(zero_diag, SolverConfig(seed=5), starts=4)
     r2 = multistart_uniqueness(zero_diag, SolverConfig(seed=5), starts=4)
@@ -608,13 +638,11 @@ def weak_diagonal():
 @pytest.mark.parametrize("error", [ConvergenceError, SingularJacobianError])
 @pytest.mark.parametrize("case, method, method_used", FALLBACK_CASES)
 def test_auto_fallback_returns_the_iteration_result(request, monkeypatch, error, case, method, method_used):
-    from inversepoint.solver import AUTO_NEWTON_MAX_STEPS
-
     m = request.getfixturevalue(case)
     expected = solve(m, SolverConfig(method=method))
     budgets = _first_newton_fails(monkeypatch, error)
     res = solve(m)
-    assert budgets[0] == AUTO_NEWTON_MAX_STEPS
+    assert budgets[0] == SolverConfig().max_iter
     assert (res.method_used, res.iterations) == (expected.method_used, expected.iterations)
     assert res.method_used == method_used
     assert res.x.values.tobytes() == expected.x.values.tobytes()

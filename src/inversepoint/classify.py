@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import vmax, vmin
-from .core import PositiveVector, _count, _entries
+from .core import PositiveVector, _count, _entries, _tol
 from .errors import ConvergenceError, NonNegativityError, NotPrimitiveError, ValidationError
 
 
@@ -110,8 +110,7 @@ def perron_vector(M, tol: float = 1e-12, max_iter: int = 100000) -> tuple[Positi
     ||Mv - lambda*v||_inf <= tol * ||v||_inf and ||v||_inf = 1.
     """
     m = _entries(M)
-    if not tol > 0:  # NaN too: the loop would run its whole budget
-        raise ValidationError("tol must be positive")
+    tol = _tol(tol)
     max_iter = _count(max_iter, "max_iter")
     if not is_primitive(m):  # checks finiteness
         raise NotPrimitiveError("power iteration requires a primitive matrix")

@@ -2,7 +2,7 @@
 
 M enters the package through one reader, _entries: a Matrix's own entries, or
 an ndarray read in place, and the solvers carry that ndarray. x enters through
-_positive, as the values of a PositiveVector. Finiteness is one test, _finite,
+_vector, where PositiveVector's checks start. Finiteness is one test, _finite,
 taken once per entry point, so the hot paths can stay check-free.
 """
 
@@ -85,9 +85,7 @@ class PositiveVector:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        v = _reals(values, copy=True)
-        if v.ndim != 1 or v.shape[0] == 0:
-            raise DimensionError(f"expected a 1-d vector, got shape {v.shape}")
+        v = _vector(values, copy=True)
         lo, hi = vmin(v), vmax(v)  # v is a fresh copy, which argmin and argmax do not copy again
         if not (lo > -np.inf and hi < np.inf):  # NaN fails both
             raise ValidationError("vector entries must be finite")
@@ -113,11 +111,13 @@ def as_positive_vector(v) -> PositiveVector:
     return v if isinstance(v, PositiveVector) else PositiveVector(v)
 
 
-def _as_vector_array(v, n: int) -> np.ndarray:
-    a = _reals(v)
-    if a.ndim != 1:
+def _vector(v, n: int | None = None, copy=False) -> np.ndarray:
+    """v as a 1-d float64 ndarray through _reals, a copy if copy is set: of
+    length n when n is given, else nonempty."""
+    a = _reals(v, copy=copy)
+    if a.ndim != 1 or (n is None and a.shape[0] == 0):
         raise DimensionError(f"expected a 1-d vector, got shape {a.shape}")
-    if a.shape[0] != n:
+    if n is not None and a.shape[0] != n:
         raise DimensionError(f"vector has length {a.shape[0]}, expected {n}")
     return a
 
@@ -133,15 +133,22 @@ def _count(v, name: str) -> int:
     return k
 
 
+def _tol(v):
+    """v as a tolerance: positive, inf included; NaN fails, as every residual would pass."""
+    if not v > 0:
+        raise ValidationError("tol must be positive")
+    return v
+
+
 def _positive(x, n: int) -> np.ndarray:
     """x as the values of a PositiveVector of length n."""
-    return _as_vector_array(as_positive_vector(x).values, n)
+    return _vector(as_positive_vector(x).values, n)
 
 
 def matvec(M, v) -> np.ndarray:
     """M @ v as a plain ndarray, exact up to float rounding."""
     m = _entries(M, checked=True)
-    return m @ _as_vector_array(v, m.shape[0])
+    return m @ _vector(v, m.shape[0])
 
 
 def diag_sandwich(M, x) -> Matrix:

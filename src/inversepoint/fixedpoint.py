@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .core import PositiveVector, _as_vector_array, _entries
+from .core import PositiveVector, _entries, _reals, _vector
 from .errors import DimensionError, NonNegativityError, ValidationError, ZeroRowError
 
 
@@ -28,16 +28,17 @@ class RowContext:
     off_diagonal: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        off = np.array(self.off_diagonal, dtype=np.float64)
-        if off.ndim != 1:
-            raise DimensionError(f"off_diagonal must be 1-d, got shape {off.shape}")
-        if self.diagonal < 0 or (off < 0).any():
+        d, off = _reals(self.diagonal), _reals(self.off_diagonal, copy=True)
+        if off.ndim != 1 or d.ndim != 0:
+            raise DimensionError(f"off_diagonal must be 1-d and diagonal a scalar, got shapes {off.shape} "
+                                 f"and {d.shape}")
+        if d < 0 or (off < 0).any():
             raise NonNegativityError(f"row {self.row_index} has negative entries")
-        if not np.isfinite(self.diagonal) or not np.isfinite(off).all():
+        if not np.isfinite(d) or not np.isfinite(off).all():
             raise ValidationError(f"row {self.row_index} has non-finite entries")
         off.setflags(write=False)
         object.__setattr__(self, "off_diagonal", off)
-        object.__setattr__(self, "diagonal", float(self.diagonal))
+        object.__setattr__(self, "diagonal", float(d))
 
     @classmethod
     def from_matrix(cls, M, i: int) -> "RowContext":
@@ -48,7 +49,7 @@ class RowContext:
 
 def _point(x, n: int) -> np.ndarray:
     """x as a 1-d array of n finite, nonnegative coordinates."""
-    a = _as_vector_array(x, n)
+    a = _vector(x, n)
     if not ((a >= 0.0) & (a < np.inf)).all():
         raise ValidationError("coordinates must be finite and nonnegative")
     return a
@@ -98,4 +99,4 @@ def F_map(M, x) -> PositiveVector:
 def residual(M, x) -> float:
     """Infinity-norm defect of the quadratic system: max_i |x_i*(Mx)_i - 1|."""
     m = _entries(M, checked=True)
-    return float(_kernels.residual_inf(m, _as_vector_array(x, m.shape[0])))
+    return float(_kernels.residual_inf(m, _vector(x, m.shape[0])))

@@ -8,6 +8,7 @@ key order and digits are byte-stable across runs.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import numpy as np
 
@@ -30,12 +31,17 @@ def _json_num(v: float) -> str:
     return {"inf": "1e999", "-inf": "-1e999", "nan": "null"}.get(s, s)
 
 
-def _check_entry(v: float, line: int | None, column: int | None) -> float:
-    if not np.isfinite(v):
-        raise ValidationError(f"entry is not finite: {v!r}", line=line, column=column)
-    if v < 0:
-        raise ValidationError(f"entry is negative: {v!r}", line=line, column=column)
-    return float(v)
+def _checked(rows, lines) -> np.ndarray:
+    """The parsed rows as an array whose entries are finite and nonnegative,
+    tested at once; else the first entry in reading order that is not, at its
+    line (lines[i] for row i) and column."""
+    a = np.array(rows, dtype=np.float64)
+    if not (a.min() >= 0 and a.max() < np.inf):  # NaN fails both
+        i, j = np.argwhere(~((a >= 0) & (a < np.inf)))[0]
+        v = float(a[i, j])
+        kind = "negative" if -np.inf < v < 0 else "not finite"
+        raise ValidationError(f"entry is {kind}: {v!r}", line=lines[i], column=int(j) + 1)
+    return a
 
 
 def _parse_csv(text: str) -> Matrix:
@@ -48,14 +54,10 @@ def _parse_csv(text: str) -> Matrix:
         for col, token in enumerate(raw.split(","), start=1):
             tok = token.strip()
             try:
-                v = float(tok)
+                values.append(float(tok))
             except ValueError:
-                raise ParseError(
-                    f"line {lineno}, field {col}: not a number: {tok!r}",
-                    line=lineno,
-                    column=col,
-                ) from None
-            values.append(_check_entry(v, lineno, col))
+                raise ParseError(f"line {lineno}, field {col}: not a number: {tok!r}",
+                                 line=lineno, column=col) from None
         rows.append(values)
         row_lines.append(lineno)
     if not rows:
@@ -68,12 +70,13 @@ def _parse_csv(text: str) -> Matrix:
                 line=lineno,
                 column=len(values),
             )
+    a = _checked(rows, row_lines)
     if len(rows) != width:
         raise ValidationError(
             f"expected a square matrix, got {len(rows)} rows of {width} values",
             line=row_lines[-1],
         )
-    return Matrix(rows)
+    return Matrix(a)
 
 
 def _parse_json(text: str) -> Matrix:
@@ -100,12 +103,11 @@ def _parse_json(text: str) -> Matrix:
                     f"row {i}, column {j}: not a number: {v!r}", line=i + 1, column=j + 1
                 )
             try:
-                v = float(v)
+                values.append(float(v))
             except OverflowError:  # an integer beyond the double range, as 1e400 reads inf
-                v = np.inf if v > 0 else -np.inf
-            values.append(_check_entry(v, i + 1, j + 1))
+                values.append(np.inf if v > 0 else -np.inf)
         data.append(values)
-    return Matrix(data)
+    return Matrix(_checked(data, range(1, n + 1)))
 
 
 def parse_matrix(text: str, fmt: str = "csv") -> Matrix:
@@ -133,16 +135,14 @@ def emit_matrix(M, fmt: str = "csv") -> str:
 
 
 def _classification_json(cls: Classification) -> str:
-    const = "null" if cls.contraction_constant is None else _fmt(cls.contraction_constant)
-    bits = [
-        f'"nonnegative":{str(cls.nonnegative).lower()}',
-        f'"positive_diagonal":{str(cls.positive_diagonal).lower()}',
-        f'"primitive":{str(cls.primitive).lower()}',
-        f'"contraction_condition":{str(cls.contraction_condition).lower()}',
-        f'"contraction_constant":{const}',
-        f'"has_zero_row":{str(cls.has_zero_row).lower()}',
-    ]
-    return "{" + ",".join(bits) + "}"
+    """cls's fields in declaration order: None as null, floats (np.float64 is
+    one) through _fmt, booleans (np.bool_ too) as true and false."""
+    def value(v):
+        if v is None:
+            return "null"
+        return _fmt(v) if isinstance(v, float) else str(bool(v)).lower()
+
+    return "{" + ",".join(f'"{f.name}":{value(getattr(cls, f.name))}' for f in fields(cls)) + "}"
 
 
 def emit_classification(cls: Classification) -> str:

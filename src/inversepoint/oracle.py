@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import PositiveVector, _count, _entries, validate_solvable
+from .core import PositiveVector, _count, _entries, _tol, validate_solvable
 from .errors import OracleDivergenceError, ValidationError
 
 MAX_ORACLE_N = 5
@@ -67,8 +67,7 @@ def oracle_solve(M, tol: float = 1e-12, max_sweeps: int = 10**6) -> PositiveVect
     n = m.shape[0]
     if n > MAX_ORACLE_N:
         raise ValidationError(f"oracle supports n <= {MAX_ORACLE_N}, got n = {n}")
-    if not tol > 0:  # NaN too: no residual would ever count as converged
-        raise ValidationError("tol must be positive")
+    tol = _tol(tol)
     max_sweeps = _count(max_sweeps, "max_sweeps")
     validate_solvable(m)
     x = np.ones(n)

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import _kernels
 from .classify import Classification, classify
-from .core import PositiveVector, _count, _entries, _positive, validate_solvable
+from .core import PositiveVector, _count, _entries, _positive, _tol, validate_solvable
 from .errors import (
     ContractionPreconditionError,
     ConvergenceError,
@@ -88,8 +88,7 @@ class SolverConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if not self.tol > 0:  # NaN too: every residual would count as converged
-            raise ValidationError("tol must be positive")
+        self.tol = _tol(self.tol)
         self.max_iter = _count(self.max_iter, "max_iter")
         if self.method not in METHODS:
             raise ValidationError(f"method must be one of {METHODS}, got {self.method!r}")
@@ -145,12 +144,10 @@ def _result(x, iterations, method, trace, converged, cls):
     )
 
 
-def _convergence_error(x, iterations, method, trace, cls):
-    best = _result(x, iterations, method, trace, False, cls)
-    return ConvergenceError(
-        f"{method}: residual {best.residual:.3e} after {iterations} iterations (budget exhausted)",
-        result=best,
-    )
+def _failure(text, x, iterations, method, trace, cls, error=ConvergenceError):
+    """error (a ConvergenceError class) with text after the method's name,
+    carrying the non-converged result at x, which _result reads."""
+    return error(f"{method}: {text}", result=_result(x, iterations, method, trace, False, cls))
 
 
 def solve(M, config: SolverConfig | None = None) -> SolveResult:
@@ -251,7 +248,8 @@ def _bracket(m, cls, config, bracket_log=None, method="bracket") -> SolveResult:
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN residual never converges
         while not r <= config.tol and stall < STALL_ROUNDS:
             if iterations >= config.max_iter:
-                raise _convergence_error(point, iterations, method, trace, cls)
+                raise _failure(f"residual {trace[-1]:.3e} after {iterations} iterations (budget exhausted)",
+                               point, iterations, method, trace, cls)
             x = _kernels.f_apply(m, x)
             iterations += 1
             if iterations % 2:
@@ -327,14 +325,12 @@ def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -
             d, g, gn, mx = _log_defect(m, x)
             trace = [float(_kernels.vmax(np.abs(d)))]
         while trace[-1] > config.tol:
-            if not gn < np.inf:
-                raise ConvergenceError(
-                    "newton: the start point is too far off: the log defect log1p(x*(Mx) - 1) "
-                    "is not finite there",
-                    result=_result(x, 0, "newton", trace, False, _cls),
-                )
+            if not gn < np.inf:  # only at the start: an accepted step lowers gn
+                raise _failure("the start point is too far off: the log defect log1p(x*(Mx) - 1) is not "
+                               "finite there", x, iterations, "newton", trace, _cls)
             if iterations >= config.max_iter:
-                raise _convergence_error(x, iterations, "newton", trace, _cls)
+                raise _failure(f"residual {trace[-1]:.3e} after {iterations} iterations (budget exhausted)",
+                               x, iterations, "newton", trace, _cls)
             s = None
             if n >= KRYLOV_MIN_N:
                 # Relaxed where ||r||_2 <= tol/2 suffices; then max|g|^2 < tol/2.
@@ -348,10 +344,8 @@ def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -
             # smax is inf or NaN unless a finite step was found.
             smax = np.inf if s is None else float(_kernels.vmax(np.abs(s)))
             if not smax < np.inf:
-                raise SingularJacobianError(
-                    f"newton: the Jacobian is singular at iteration {iterations}",
-                    result=_result(x, iterations, "newton", trace, False, _cls),
-                )
+                raise _failure(f"the Jacobian is singular at iteration {iterations}", x, iterations, "newton",
+                               trace, _cls, SingularJacobianError)
             lam = 1.0 if smax <= NEWTON_MAX_STEP else NEWTON_MAX_STEP / smax
             for _ in range(NEWTON_MAX_HALVINGS + 1):
                 xt = x * np.exp(lam * s)
@@ -360,11 +354,8 @@ def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -
                     break
                 lam *= 0.5
             if not gtn < gn:
-                raise ConvergenceError(
-                    f"newton: line search could not reduce the log defect below {gn:.3e} "
-                    f"within {NEWTON_MAX_HALVINGS} halvings",
-                    result=_result(x, iterations, "newton", trace, False, _cls),
-                )
+                raise _failure(f"line search could not reduce the log defect below {gn:.3e} within "
+                               f"{NEWTON_MAX_HALVINGS} halvings", x, iterations, "newton", trace, _cls)
             iterations += 1
             x, d, g, gn, mx = xt, dt, gt, gtn, mxt
             trace.append(float(_kernels.vmax(np.abs(d))))

@@ -337,6 +337,48 @@ def test_matvec_dimension_mismatch():
         matvec(Matrix(np.eye(3)), [1.0, 2.0])
 
 
+# Every reader of x goes through one rule: 1-d, of M's length, and nonempty
+# where x must be positive.
+VECTOR_READERS = {
+    "PositiveVector": lambda x: PositiveVector(x),
+    "matvec": lambda x: matvec(np.eye(2), x),
+    "residual": lambda x: residual(np.eye(2), x),
+    "F_map": lambda x: F_map(np.eye(2), x),
+    "diag_sandwich": lambda x: diag_sandwich(np.eye(2), x),
+    "certify": lambda x: certify(np.eye(2), x),
+}
+
+
+@pytest.mark.parametrize("name", VECTOR_READERS)
+def test_every_reader_of_x_states_the_shape_or_length_it_got(name):
+    read = VECTOR_READERS[name]
+    with pytest.raises(DimensionError, match=r"^expected a 1-d vector, got shape \(1, 2\)$"):
+        read([[1.0, 1.0]])
+    with pytest.raises(DimensionError, match=r"^expected a 1-d vector, got shape \(\)$"):
+        read(1.0)
+    positive = name in ("PositiveVector", "diag_sandwich", "certify")
+    with pytest.raises(DimensionError, match=r"^expected a 1-d vector, got shape \(0,\)$" if positive
+                       else "^vector has length 0, expected 2$"):
+        read([])
+    if name != "PositiveVector":
+        with pytest.raises(DimensionError, match="^vector has length 3, expected 2$"):
+            read([1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan"), -np.inf], ids=str)
+def test_every_tol_reader_rejects_a_tol_that_is_not_positive(tol):
+    for call in (lambda: SolverConfig(tol=tol), lambda: perron_vector([[2.0, 1.0], [1.0, 2.0]], tol=tol),
+                 lambda: oracle_solve(np.eye(2), tol=tol)):
+        with pytest.raises(ValidationError, match="^tol must be positive$"):
+            call()
+
+
+def test_every_tol_reader_takes_an_infinite_tol():
+    assert SolverConfig(tol=np.inf).tol == np.inf
+    assert perron_vector([[2.0, 1.0], [1.0, 2.0]], tol=np.inf)[1] == 3.0
+    assert np.array_equal(oracle_solve(np.eye(2), tol=np.inf).values, [1.0, 1.0])
+
+
 def test_diag_sandwich_identity():
     m = Matrix(np.eye(3))
     out = diag_sandwich(m, [1.0, 1.0, 1.0])

@@ -48,6 +48,21 @@ def test_row_context_rejects_a_misshapen_or_non_finite_row():
             ctx(0, diagonal, off)
 
 
+def test_row_context_reads_its_entries_through_the_package_readers():
+    for diagonal, off in ((1.0, ["a", 1.0]), (1.0, [1 + 2j, 1.0]), ("x", [1.0]), (1j, [1.0])):
+        with pytest.raises(ValidationError, match="^entries must be real numbers: "):
+            RowContext(0, diagonal, off)
+    with pytest.raises(DimensionError, match=r"diagonal a scalar, got shapes \(1,\) and \(1,\)$"):
+        RowContext(0, [1.0], [1.0])
+
+
+def test_row_context_of_a_1x1_matrix_has_no_off_diagonal():
+    c = RowContext(0, np.float64(4.0), [])
+    assert c.diagonal == 4.0 and type(c.diagonal) is float and c.off_diagonal.shape == (0,)
+    assert f_value(c, []) == 0.5
+    assert RowContext.from_matrix(Matrix([[4.0]]), 0).off_diagonal.shape == (0,)
+
+
 def test_b_value_examples():
     assert b_value(ctx(0, 1.0, [0.0, 0.0]), [7.0, 9.0]) == 0.0
     # second row of the triangular example: only x_1 contributes

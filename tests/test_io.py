@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ import pytest
 from conftest import TRIANGULAR_X
 from helpers import wide_range_draws
 from inversepoint import (
+    Classification,
     ConvergenceError,
     Matrix,
     ParseError,
@@ -51,6 +52,42 @@ def test_parse_csv_rejects_negative_and_nan():
         parse_matrix("1,nan\n3,4\n")
     with pytest.raises(ValidationError):
         parse_matrix("1,inf\n3,4\n")
+
+
+def _failure(text, fmt):
+    with pytest.raises((ParseError, ValidationError)) as err:
+        parse_matrix(text, fmt)
+    return type(err.value), str(err.value), err.value.line, err.value.column
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("1,2\n-3,nan\n", ("negative: -3.0", 2, 1)),
+        ("1,nan\n-3,4\n", ("not finite: nan", 1, 2)),
+        ("1,-inf\n3,-4\n", ("not finite: -inf", 1, 2)),
+        ("\n1, 2\n\n3,  1e400\n", ("not finite: inf", 4, 2)),
+        ("1,-0.0\n0,-5e-324\n", ("negative: -5e-324", 2, 2)),
+        ("1,2\n3,-4\n5,6\n", ("negative: -4.0", 2, 2)),  # before the shape
+        ('{"n": 2, "rows": [[1, 2], [-3, NaN]]}', ("negative: -3.0", 2, 1)),
+        ('{"n": 2, "rows": [[1, NaN], [-3, 4]]}', ("not finite: nan", 1, 2)),
+        ('{"n": 2, "rows": [[1, -Infinity], [3, -4]]}', ("not finite: -inf", 1, 2)),
+        ('{"n": 2, "rows": [[1, -0.0], [0, -5e-324]]}', ("negative: -5e-324", 2, 2)),
+    ],
+)
+def test_parse_names_the_first_bad_entry_in_reading_order(text, want):
+    fmt = "json" if text.startswith("{") else "csv"
+    assert _failure(text, fmt) == (ValidationError, "entry is " + want[0], *want[1:])
+
+
+def test_a_parse_or_ragged_row_error_wins_over_an_earlier_bad_entry():
+    # Entries are checked once, on the parsed array, after every row is read.
+    assert _failure("-1,2\n3,x\n", "csv") == (ParseError, "line 2, field 2: not a number: 'x'", 2, 2)
+    assert _failure("-1,2\n3\n", "csv")[:3] == (ParseError, "line 2: ragged row with 1 values, expected 2", 2)
+    assert _failure('{"n": 2, "rows": [[-1, 2], [3, "x"]]}', "json") == (
+        ValidationError, "row 1, column 1: not a number: 'x'", 2, 2)
+    assert _failure('{"n": 2, "rows": [[-1, 2], [3]]}', "json")[:3] == (
+        ValidationError, "row 1 must be a list of 2 numbers", 2)
 
 
 def test_parse_csv_rejects_non_square():
@@ -202,6 +239,17 @@ def test_emit_classification(zero_diag):
         "contraction_constant": None,
         "has_zero_row": False,
     }
+
+
+@pytest.mark.parametrize("entries", [[[2.0, 1.0], [3.0, 4.0]], [[0.0, 1.0], [1.0, 0.0]]])
+def test_emit_classification_writes_the_fields_in_order_whatever_their_scalar_types(entries):
+    cls = classify(Matrix(entries))
+    payload = json.loads(emit_classification(cls))
+    assert list(payload.items()) == [(f.name, getattr(cls, f.name)) for f in fields(Classification)]
+    as_numpy = Classification(**{k: v if v is None else (np.bool_ if isinstance(v, bool) else np.float64)(v)
+                                 for k, v in asdict(cls).items()})
+    assert type(as_numpy.primitive) is np.bool_
+    assert emit_classification(as_numpy) == emit_classification(cls)
 
 
 def test_float_formatting_round_trips():

@@ -9,7 +9,9 @@ perfbench/inputs.py and tests/helpers.py, which are read and never edited:
 the small_mixed and large_dense pools for seeds 1-3 and passes 0-2,
 known_defects(1-3) and the 100 wide_range_draws(), 2704 inputs, each solved
 by all four methods at the default SolverConfig. An outcome is the
-SolveResult, or the error's type, text and row with the result it carries.
+SolveResult, or the error's type, text and row with the result it carries; a
+result also gives the sha256 of the JSON the CLI would print for it (with the
+trace and row sums), so a change to io shows up as moved.
 
 The report counts the outcomes that moved per method and field, names the
 first labels that moved, and gives the largest change of x in ulps. The exit
@@ -20,6 +22,7 @@ trees on one machine: another BLAS build or CPU may round differently.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import pickle
 import subprocess
@@ -32,8 +35,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 METHODS = ("auto", "bracket", "contraction", "newton")
-FIELDS = ("x", "trace", "iterations", "method", "converged", "residual", "classification",
-          "error", "text", "row")
+RESULT_FIELDS = ("x", "trace", "iterations", "method", "converged", "residual", "classification", "json")
+FIELDS = RESULT_FIELDS + ("error", "text", "row")
 SHOW_LABELS = 5
 
 
@@ -54,10 +57,12 @@ def _corpus():
     return out
 
 
-def _fields(res):
-    """A SolveResult as comparable values; floats and arrays as their bytes."""
+def _fields(res, m, emit_result):
+    """A SolveResult on m as comparable values; floats and arrays as their
+    bytes, and emit_result's JSON as its sha256."""
     if res is None:
-        return dict.fromkeys(FIELDS[:7])
+        return dict.fromkeys(RESULT_FIELDS)
+    emitted = emit_result(res, "json", matrix=m, include_trace=True)
     return {
         "x": res.x.values.tobytes(),
         "trace": res.trace.tobytes(),
@@ -66,6 +71,7 @@ def _fields(res):
         "converged": res.converged,
         "residual": np.float64(res.residual).tobytes(),
         "classification": repr(res.classification),
+        "json": hashlib.sha256(emitted.encode()).hexdigest(),
     }
 
 
@@ -82,12 +88,14 @@ def _child(src):
     outcomes = []
     for label, m in _corpus():
         for method in METHODS:
+            err = None
             try:
-                out = {**_fields(inversepoint.solve(m, inversepoint.SolverConfig(method=method))),
-                       "error": None, "text": None, "row": None}
-            except Exception as err:  # noqa: BLE001 - any error is an outcome to compare
-                out = {**_fields(getattr(err, "result", None)), "error": type(err).__name__,
-                       "text": str(err), "row": getattr(err, "row", None)}
+                res = inversepoint.solve(m, inversepoint.SolverConfig(method=method))
+            except Exception as caught:  # noqa: BLE001 - any error is an outcome to compare
+                err, res = caught, getattr(caught, "result", None)
+            out = {**_fields(res, m, inversepoint.emit_result),
+                   "error": None if err is None else type(err).__name__,
+                   "text": None if err is None else str(err), "row": getattr(err, "row", None)}
             outcomes.append((label, method, out))
     pickle.dump(outcomes, sys.stdout.buffer)
 

@@ -12,6 +12,7 @@ there is one).
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 from .classify import classify
@@ -27,26 +28,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Find the positive vector x with M x = (1/x_1, ..., 1/x_n), "
         "i.e. the diagonal scaling making diag(x) M diag(x) row-stochastic.",
     )
+    matrix = argparse.ArgumentParser(add_help=False)
+    matrix.add_argument("--input", required=True, help="matrix file")
+    matrix.add_argument("--format", choices=MATRIX_FORMATS, default="csv")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="solve for the scaling vector")
-    p_solve.add_argument("--input", required=True, help="matrix file")
-    p_solve.add_argument("--format", choices=MATRIX_FORMATS, default="csv")
+    p_solve = sub.add_parser("solve", parents=[matrix], help="solve for the scaling vector")
     p_solve.add_argument("--tol", type=float, default=1e-12)
     p_solve.add_argument("--max-iter", type=int, default=10000)
     p_solve.add_argument("--method", choices=METHODS, default="auto")
     p_solve.add_argument("--output", choices=RESULT_FORMATS, default="json")
     p_solve.add_argument("--trace", action="store_true", help="include the residual trace")
+    p_solve.set_defaults(run=_run_solve)
 
-    p_check = sub.add_parser("check", help="emit the matrix classification as JSON")
-    p_check.add_argument("--input", required=True, help="matrix file")
-    p_check.add_argument("--format", choices=MATRIX_FORMATS, default="csv")
+    p_check = sub.add_parser("check", parents=[matrix], help="emit the matrix classification as JSON")
+    p_check.set_defaults(run=_run_check)
 
-    p_curves = sub.add_parser("curves", help="sample solution curves (n=2) or surfaces (n=3)")
-    p_curves.add_argument("--input", required=True, help="matrix file")
-    p_curves.add_argument("--format", choices=MATRIX_FORMATS, default="csv")
+    p_curves = sub.add_parser("curves", parents=[matrix],
+                              help="sample solution curves (n=2) or surfaces (n=3)")
     p_curves.add_argument("--samples", type=int, default=200)
     p_curves.add_argument("--t-max", type=float, default=1.5)
+    p_curves.set_defaults(run=_run_curves)
     return parser
 
 
@@ -78,25 +80,20 @@ def _run_check(args) -> int:
     return 0
 
 
-def _curve_rows(mtx, samples: int, t_max: float):
-    """Yield CSV rows sampling each row's solution set in the positive
-    orthant, with the row's own coordinate filled in by its root function."""
-    n = mtx.n
-    ts = [t_max * k / samples for k in range(1, samples + 1)]
-    grids = [(t,) for t in ts] if n == 2 else [(u, v) for u in ts for v in ts]
-    for i in range(n):
+def _curve_rows(mtx, ts):
+    """Yield CSV lines sampling each row's solution set on the grid ts^(n-1)
+    of the positive orthant, with the row's own coordinate filled in by its
+    root function."""
+    for i in range(mtx.n):
         ctx = RowContext.from_matrix(mtx, i)
-        others = [j for j in range(n) if j != i]
-        for point in grids:
-            coords = [""] * n
-            for j, t in zip(others, point):
-                coords[j] = f"{t:.12g}"
+        for point in itertools.product(ts, repeat=mtx.n - 1):
+            coords = [f"{t:.12g}" for t in point]
+            coords.insert(i, "")
             try:
                 coords[i] = f"{f_value(ctx, point):.12g}"
-                skipped = 0
-            except ZeroRowError:
-                skipped = 1
-            yield f"{i + 1}," + ",".join(coords) + f",{skipped}"
+            except ZeroRowError:  # no root here: the coordinate stays empty and the row is skipped
+                pass
+            yield f"{i + 1}," + ",".join(coords) + f",{int(not coords[i])}\n"
 
 
 def _run_curves(args) -> int:
@@ -105,21 +102,18 @@ def _run_curves(args) -> int:
         raise ValidationError(f"curves supports n = 2 or 3, got n = {mtx.n}")
     if not (args.samples >= 1 and 0 < args.t_max < float("inf")):  # NaN fails too
         raise ValidationError("--samples must be >= 1 and --t-max positive")
-    header = "curve_index,x1,x2,skipped" if mtx.n == 2 else "curve_index,x1,x2,x3,skipped"
-    out = [header]
-    out.extend(_curve_rows(mtx, args.samples, args.t_max))
-    sys.stdout.write("\n".join(out) + "\n")
+    ts = [args.t_max * k / args.samples for k in range(1, args.samples + 1)]
+    if ts[-1] == float("inf"):  # t_max * samples overflowed: fail before the first line is written
+        raise ValidationError("coordinates must be finite and nonnegative")
+    sys.stdout.write("curve_index," + "".join(f"x{j + 1}," for j in range(mtx.n)) + "skipped\n")
+    sys.stdout.writelines(_curve_rows(mtx, ts))
     return 0
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "solve":
-            return _run_solve(args)
-        if args.command == "check":
-            return _run_check(args)
-        return _run_curves(args)
+        return args.run(args)
     except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -42,9 +42,11 @@ class RowContext:
 
     @classmethod
     def from_matrix(cls, M, i: int) -> "RowContext":
-        row = _entries(M, checked=True)[i]
-        off = np.concatenate([row[:i], row[i + 1:]])
-        return cls(row_index=i, diagonal=float(row[i]), off_diagonal=off)
+        m = _entries(M, checked=True)
+        if not (isinstance(i, (int, np.integer)) and 0 <= i < m.shape[0]):
+            raise ValidationError(f"row index must be an integer in [0, {m.shape[0]}), got {i!r}")
+        off = np.concatenate([m[i, :i], m[i, i + 1:]])
+        return cls(row_index=i, diagonal=float(m[i, i]), off_diagonal=off)
 
 
 def _point(x, n: int) -> np.ndarray:

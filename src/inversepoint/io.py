@@ -1,14 +1,17 @@
 """Matrix parsing (CSV, JSON) and result serialization (JSON, TSV).
 
 Floats are emitted with 17 significant digits, enough to round-trip any
-64-bit value exactly. The JSON writers build their output by hand so that
-key order and digits are byte-stable across runs.
+64-bit value exactly. One JSON writer, _json, builds every JSON text by hand
+so that key order and digits are byte-stable across runs.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import fields
+import math
+import re
+from dataclasses import is_dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -25,10 +28,29 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _json_num(v: float) -> str:
-    """_fmt for JSON, which has no inf or NaN: +-1e999 (read back as +-inf), null."""
-    s = _fmt(v)
-    return {"inf": "1e999", "-inf": "-1e999", "nan": "null"}.get(s, s)
+def _json(v) -> str:
+    """v as JSON text. Floats (np.float64 is one) go through _fmt, but JSON has
+    no inf or NaN: +-inf is +-1e999 (read back as +-inf) and NaN null. np.bool_
+    is a bool and a vector a list; dicts and dataclasses are objects in their
+    order, with names for keys."""
+    if isinstance(v, float):
+        s = _fmt(v)
+        return s if math.isfinite(v) else {"inf": "1e999", "-inf": "-1e999", "nan": "null"}[s]
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, np.ndarray):
+        v = v.tolist()
+    if isinstance(v, list):
+        return "[" + ",".join(map(_json, v)) + "]"
+    if v is None:
+        return "null"
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)  # json.dumps's rule, without its dispatch
+    if isinstance(v, int):
+        return str(v)
+    if is_dataclass(v):
+        v = vars(v)  # its fields, which __init__ sets in declaration order
+    return "{" + ",".join([f'"{k}":{_json(x)}' for k, x in v.items()]) + "}"  # a name needs no escape
 
 
 def _checked(rows, lines) -> np.ndarray:
@@ -47,7 +69,7 @@ def _checked(rows, lines) -> np.ndarray:
 def _parse_csv(text: str) -> Matrix:
     rows = []
     row_lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(re.split(r"\r\n?|\n", text), start=1):
         if raw.strip() == "":
             continue
         values = []
@@ -128,25 +150,14 @@ def emit_matrix(M, fmt: str = "csv") -> str:
     if fmt not in MATRIX_FORMATS:
         raise ValidationError(f"format must be one of {MATRIX_FORMATS}, got {fmt!r}")
     m = _entries(M, checked=True)
+    rows = (",".join(map(_fmt, row)) for row in m)  # finite entries, which _json writes by _fmt
     if fmt == "csv":
-        return "\n".join(",".join(_fmt(v) for v in row) for row in m) + "\n"
-    rows = ",".join("[" + ",".join(_fmt(v) for v in row) + "]" for row in m)
-    return f'{{"n":{m.shape[0]},"rows":[{rows}]}}\n'
-
-
-def _classification_json(cls: Classification) -> str:
-    """cls's fields in declaration order: None as null, floats (np.float64 is
-    one) through _fmt, booleans (np.bool_ too) as true and false."""
-    def value(v):
-        if v is None:
-            return "null"
-        return _fmt(v) if isinstance(v, float) else str(bool(v)).lower()
-
-    return "{" + ",".join(f'"{f.name}":{value(getattr(cls, f.name))}' for f in fields(cls)) + "}"
+        return "\n".join(rows) + "\n"
+    return f'{{"n":{m.shape[0]},"rows":[[' + "],[".join(rows) + "]]}\n"
 
 
 def emit_classification(cls: Classification) -> str:
-    return _classification_json(cls) + "\n"
+    return _json(cls) + "\n"
 
 
 def emit_result(result, fmt: str = "json", matrix=None, include_trace: bool = False) -> str:
@@ -167,20 +178,10 @@ def emit_result(result, fmt: str = "json", matrix=None, include_trace: bool = Fa
         if trace is not None:
             lines.extend(f"trace\t{_fmt(v)}" for v in trace)
         return "\n".join(lines) + "\n"
-    if matrix is not None:
-        cert = certify(matrix, result.x)
-        row_sums = "[" + ",".join(_json_num(v) for v in cert.row_sums) + "]"
-    else:
-        row_sums = "null"
-    bits = [
-        '"x":[' + ",".join(_fmt(v) for v in xs) + "]",
-        f'"residual":{_json_num(result.residual)}',
-        f'"iterations":{result.iterations}',
-        f'"method":"{result.method_used}"',
-        f'"converged":{str(result.converged).lower()}',
-        f'"classification":{_classification_json(result.classification)}',
-        f'"row_sums":{row_sums}',
-    ]
+    doc = {"x": xs, "residual": result.residual, "iterations": result.iterations,
+           "method": result.method_used, "converged": result.converged,
+           "classification": result.classification,
+           "row_sums": None if matrix is None else certify(matrix, result.x).row_sums}
     if trace is not None:
-        bits.append('"trace":[' + ",".join(_json_num(v) for v in trace) + "]")
-    return "{" + ",".join(bits) + "}\n"
+        doc["trace"] = trace
+    return _json(doc) + "\n"

@@ -1,5 +1,6 @@
 import decimal
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,14 @@ def test_row_context_from_matrix(triangular):
     assert c.row_index == 1
     assert c.diagonal == 1.0
     assert np.array_equal(c.off_diagonal, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("index", [-1, 3, 1.0, "0"], ids=repr)
+def test_row_context_from_matrix_takes_only_a_row_of_the_matrix(triangular, index):
+    message = r"^row index must be an integer in \[0, 3\), got " + re.escape(repr(index)) + "$"
+    with pytest.raises(ValidationError, match=message):
+        RowContext.from_matrix(triangular, index)
+    assert RowContext.from_matrix(triangular, np.int64(2)).off_diagonal.tolist() == [1.0, 1.0]
 
 
 def test_row_context_rejects_negative_entries():

@@ -90,6 +90,17 @@ def test_a_parse_or_ragged_row_error_wins_over_an_earlier_bad_entry():
         ValidationError, "row 1 must be a list of 2 numbers", 2)
 
 
+@pytest.mark.parametrize("end", ["\f", "\x85", "\u2028", "\u2029", "\v", "\x1c"], ids=repr)
+def test_parse_csv_breaks_lines_only_at_line_ends(end):
+    # str.splitlines would also break at these, making one line two rows.
+    token = repr("2" + end + "3")
+    assert _failure(f"1,2{end}3,4\n", "csv") == (ParseError, f"line 1, field 2: not a number: {token}", 1, 2)
+    ragged = "line 3: ragged row with 1 values, expected 2"
+    assert _failure(f"1,2\n3,4{end}\n5\n", "csv") == (ParseError, ragged, 3, 1)
+    for newline in ("\n", "\r\n", "\r"):
+        assert parse_matrix(f"1,2{newline}3,4{newline}").entries.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
 def test_parse_csv_rejects_non_square():
     with pytest.raises(ValidationError):
         parse_matrix("1,2\n3,4\n5,6\n")

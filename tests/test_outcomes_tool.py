@@ -18,14 +18,16 @@ def _x(*values):
 
 def _solved(x, **changed):
     out = {f: None for f in outcomes.FIELDS}
-    out.update(x=_x(*x), iterations=3, method="newton", converged=True, json="0" * 64)
+    out.update(x=_x(*x), iterations=3, method="newton", converged=True, json="0" * 64,
+               matrix_csv="a" * 64, matrix_json="b" * 64)
     out.update(changed)
     return out
 
 
 def _failed(**changed):
     out = {f: None for f in outcomes.FIELDS}
-    out.update(error="ConvergenceError", text="newton: residual 1e+00 after 1 iterations (budget exhausted)")
+    out.update(error="ConvergenceError", text="newton: residual 1e+00 after 1 iterations (budget exhausted)",
+               matrix_csv="a" * 64, matrix_json="b" * 64)
     out.update(changed)
     return out
 
@@ -66,6 +68,18 @@ def test_every_field_that_differs_counts_as_moved(capsys):
     assert "auto: x moved by up to 1 ulps (in/0)\n" in out
     assert "newton: x moved" not in out  # a failure without a result has no x to measure
     assert out.endswith("2 outcomes moved\n")
+
+
+def test_a_moved_matrix_writer_moves_every_method_of_the_input(capsys):
+    parent = _run(bracket=_failed())
+    change = [(label, m, {**o, "matrix_json": "c" * 64}) for label, m, o in parent]
+    assert outcomes.compare(parent, change) == 4
+    out = capsys.readouterr().out
+    table = [line.split() for line in out.splitlines()[2:3 + len(outcomes.FIELDS)]]
+    moved = {row[0]: row[1:] for row in table}
+    assert moved["any"] == moved["matrix_json"] == ["1", "1", "1", "1"]
+    assert moved["matrix_csv"] == moved["json"] == moved["error"] == ["0", "0", "0", "0"]
+    assert "bracket: first moved of 1:\n  in/0 (matrix_json)\n" in out
 
 
 def test_runs_over_different_corpora_do_not_compare():

@@ -11,7 +11,8 @@ known_defects(1-3) and the 100 wide_range_draws(), 2704 inputs, each solved
 by all four methods at the default SolverConfig. An outcome is the
 SolveResult, or the error's type, text and row with the result it carries; a
 result also gives the sha256 of the JSON the CLI would print for it (with the
-trace and row sums), so a change to io shows up as moved.
+trace and row sums), and every outcome the sha256 of its input as
+emit_matrix writes it in CSV and in JSON, so a change to io shows up as moved.
 
 The report counts the outcomes that moved per method and field, names the
 first labels that moved, and gives the largest change of x in ulps. The exit
@@ -36,7 +37,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 METHODS = ("auto", "bracket", "contraction", "newton")
 RESULT_FIELDS = ("x", "trace", "iterations", "method", "converged", "residual", "classification", "json")
-FIELDS = RESULT_FIELDS + ("error", "text", "row")
+FIELDS = RESULT_FIELDS + ("error", "text", "row", "matrix_csv", "matrix_json")
 SHOW_LABELS = 5
 
 
@@ -57,12 +58,15 @@ def _corpus():
     return out
 
 
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _fields(res, m, emit_result):
     """A SolveResult on m as comparable values; floats and arrays as their
     bytes, and emit_result's JSON as its sha256."""
     if res is None:
         return dict.fromkeys(RESULT_FIELDS)
-    emitted = emit_result(res, "json", matrix=m, include_trace=True)
     return {
         "x": res.x.values.tobytes(),
         "trace": res.trace.tobytes(),
@@ -71,7 +75,7 @@ def _fields(res, m, emit_result):
         "converged": res.converged,
         "residual": np.float64(res.residual).tobytes(),
         "classification": repr(res.classification),
-        "json": hashlib.sha256(emitted.encode()).hexdigest(),
+        "json": _sha256(emit_result(res, "json", matrix=m, include_trace=True)),
     }
 
 
@@ -87,6 +91,7 @@ def _child(src):
     warnings.simplefilter("ignore")  # overflow warnings of the 1e+-300 inputs, the same in both trees
     outcomes = []
     for label, m in _corpus():
+        written = {f"matrix_{fmt}": _sha256(inversepoint.emit_matrix(m, fmt)) for fmt in ("csv", "json")}
         for method in METHODS:
             err = None
             try:
@@ -95,7 +100,7 @@ def _child(src):
                 err, res = caught, getattr(caught, "result", None)
             out = {**_fields(res, m, inversepoint.emit_result),
                    "error": None if err is None else type(err).__name__,
-                   "text": None if err is None else str(err), "row": getattr(err, "row", None)}
+                   "text": None if err is None else str(err), "row": getattr(err, "row", None), **written}
             outcomes.append((label, method, out))
     pickle.dump(outcomes, sys.stdout.buffer)
 

@@ -43,7 +43,7 @@ class RowContext:
     @classmethod
     def from_matrix(cls, M, i: int) -> "RowContext":
         m = _entries(M, checked=True)
-        if not (isinstance(i, (int, np.integer)) and 0 <= i < m.shape[0]):
+        if isinstance(i, bool) or not (isinstance(i, (int, np.integer)) and 0 <= i < m.shape[0]):
             raise ValidationError(f"row index must be an integer in [0, {m.shape[0]}), got {i!r}")
         off = np.concatenate([m[i, :i], m[i, i + 1:]])
         return cls(row_index=i, diagonal=float(m[i, i]), off_diagonal=off)

@@ -30,13 +30,15 @@ def _fmt(v: float) -> str:
 
 def _json(v) -> str:
     """v as JSON text. Floats (np.float64 is one) go through _fmt, but JSON has
-    no inf or NaN: +-inf is +-1e999 (read back as +-inf) and NaN null. np.bool_
-    is a bool and a vector a list; dicts and dataclasses are objects in their
-    order, with names for keys."""
+    no inf or NaN: +-inf is +-1e999 (read back as +-inf) and NaN null. Other
+    numpy scalars are written as the Python ones, a vector as a list; dicts and
+    dataclasses are objects in their order, with names for keys."""
     if isinstance(v, float):
         s = _fmt(v)
         return s if math.isfinite(v) else {"inf": "1e999", "-inf": "-1e999", "nan": "null"}[s]
-    if isinstance(v, (bool, np.bool_)):
+    if isinstance(v, np.generic):  # after float, the common case; np.longdouble's item() is itself
+        return _json(float(v) if isinstance(v, np.floating) else v.item())
+    if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, np.ndarray):
         v = v.tolist()

@@ -34,7 +34,7 @@ def test_row_context_from_matrix(triangular):
     assert np.array_equal(c.off_diagonal, [1.0, 0.0])
 
 
-@pytest.mark.parametrize("index", [-1, 3, 1.0, "0"], ids=repr)
+@pytest.mark.parametrize("index", [-1, 3, 1.0, "0", True], ids=repr)
 def test_row_context_from_matrix_takes_only_a_row_of_the_matrix(triangular, index):
     message = r"^row index must be an integer in \[0, 3\), got " + re.escape(repr(index)) + "$"
     with pytest.raises(ValidationError, match=message):

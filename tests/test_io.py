@@ -296,3 +296,10 @@ def test_emit_result_json_writes_non_finite_numbers_as_json():
     out = emit_result(res, "json", include_trace=True)
     assert '"residual":null' in out and '"trace":[1e999,-1e999,0.5]' in out
     assert json.loads(out)["trace"] == [np.inf, -np.inf, 0.5]
+
+
+def test_emit_result_json_writes_numpy_scalars_as_python_numbers():
+    res = replace(solve(Matrix([[1.0]])), residual=0.5)
+    for residual in (np.float32(0.5), np.longdouble(0.5)):
+        as_numpy = replace(res, iterations=np.int64(res.iterations), residual=residual)
+        assert emit_result(as_numpy, "json") == emit_result(res, "json")

@@ -5,6 +5,10 @@
 The kernels take raw float64 ndarrays, return what they compute and write
 to no argument. f_apply raises ZeroRowError where F is undefined.
 
+gauss_solve calls the LAPACK gufunc inside np.linalg.solve without that
+wrapper's conversions and errstate, ~3/4 of its cost at n = 5. A singular
+matrix gives NaN and the FP invalid flag, which the caller's errstate handles.
+
 vmax and vmin reduce a vector as v[v.argmax()] and v[v.argmin()]: the same
 value as v.max() and v.min(), the first NaN included, and on a bool vector
 the same as any() and all(). A ufunc reduction spends 1.2-1.6 us on set-up,
@@ -20,6 +24,7 @@ return the other; no caller reduces a -0.0.
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1
 
 from .errors import ZeroRowError
 
@@ -40,11 +45,14 @@ def positive_root(d, b):
     """Unique positive root of d*t**2 + b*t - 1 = 0, elementwise; defined
     where d > 0 or b > 0, which the callers check.
 
-    Uses 2/(b + hypot(b, 2 sqrt(d))) instead of the textbook
+    Uses 1/(h + hypot(h, sqrt(d))), h = b/2, instead of the textbook
     (-b + sqrt(b^2 + 4d))/(2d), which cancels catastrophically for large b.
-    hypot forms no b^2 to overflow or underflow, and d = 0 gives 1/b exactly.
+    hypot forms no b^2 to overflow or underflow, and the halving keeps the
+    sum finite up to the largest double b. d = 0 gives 1/b, exactly unless
+    b < 2^-1021, where b/2 is subnormal and may round b's last bit.
     """
-    return 2.0 / (b + np.hypot(b, 2.0 * np.sqrt(d)))
+    h = 0.5 * b
+    return 1.0 / (h + np.hypot(h, np.sqrt(d)))
 
 
 def f_apply(m, x) -> np.ndarray:
@@ -78,6 +86,11 @@ def newton_system(m, x, mx) -> np.ndarray:
     jac = x[:, None] * m
     jac.reshape(-1)[:: m.shape[0] + 1] += mx
     return jac
+
+
+def gauss_solve(a, b) -> np.ndarray:
+    """a^-1 b for a float64 n x n a and n-vector b, by LAPACK's gesv."""
+    return solve1(a, b)
 
 
 def krylov_step(a, x, ax, g, eta, maxit):

@@ -6,13 +6,14 @@ n = 2 or 3). Results go to stdout, diagnostics to stderr. main alone maps
 an error to an exit code, by the error families of errors.py: 0 success, 1 for
 a ValidationError (invalid input or violated precondition), 2 for a
 ConvergenceError (the numerics failed; the best iterate is still emitted when
-there is one).
+there is one). A reader that closes stdout early ends the run quietly with 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 
 from .classify import classify
@@ -113,7 +114,12 @@ def _run_curves(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:  # the reader stopped early, as `| head` does: not a failure
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

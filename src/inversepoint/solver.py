@@ -300,17 +300,17 @@ def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -
     With g = log1p(x*(Mx) - 1) the step s solves
     (I + diag(1/Mx) M diag(x)) s = -g: from n = KRYLOV_MIN_N on by matrix-free
     GMRES to a relative residual of min(0.5, max|g|), or looser where tol
-    needs no more; below that, or when GMRES gives up, by LAPACK on the
-    quadratic Jacobian. Both reuse the Mx of the accepted trial. The trial
-    x*exp(lam*s) is positive by construction; lam starts where no entry of
-    lam*s exceeds NEWTON_MAX_STEP, at most 1, and is halved until max|g|
-    decreases. Stops once the residual max|x*(Mx) - 1| is at most tol.
+    needs no more; below that, or when GMRES gives up, by _kernels.gauss_solve
+    on the quadratic Jacobian. Both reuse the Mx of the accepted trial. The
+    trial x*exp(lam*s) is positive by construction; lam starts where no
+    entry of lam*s exceeds NEWTON_MAX_STEP, at most 1, and is halved until
+    max|g| decreases. Stops once the residual max|x*(Mx) - 1| is at most tol.
 
     iterations counts Newton steps. trace holds the start's entries (see
     _swept_start), then the residual after each Newton step. So
     len(trace) - 1 - iterations counts the kept pairs (1 for a half step
-    alone), and the residual is trace[-1]. A singular Jacobian (an exactly
-    zero pivot, or a step that is not finite) raises SingularJacobianError, a
+    alone), and the residual is trace[-1]. A step that is not finite (LAPACK
+    returns NaN at an exactly zero pivot) raises SingularJacobianError, a
     spent budget or a line search that fails ConvergenceError; both carry the
     last iterate as a non-converged result.
     """
@@ -337,18 +337,15 @@ def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -
                 eta = min(0.5, max(gn, 0.5 * config.tol / float(np.sqrt(g @ g))))
                 s = _kernels.krylov_step(m, x, mx, g, eta, KRYLOV_MAX_ITER)
             if s is None:
-                try:
-                    s = np.linalg.solve(_kernels.newton_system(m, x, mx), -(1.0 + d) * g) / x
-                except np.linalg.LinAlgError:
-                    pass
-            # smax is inf or NaN unless a finite step was found.
-            smax = np.inf if s is None else float(_kernels.vmax(np.abs(s)))
+                s = _kernels.gauss_solve(_kernels.newton_system(m, x, mx), (-1.0 - d) * g) / x
+            # smax is NaN or inf unless the step is finite.
+            smax = float(_kernels.vmax(np.abs(s)))
             if not smax < np.inf:
                 raise _failure(f"the Jacobian is singular at iteration {iterations}", x, iterations, "newton",
                                trace, _cls, SingularJacobianError)
             lam = 1.0 if smax <= NEWTON_MAX_STEP else NEWTON_MAX_STEP / smax
             for _ in range(NEWTON_MAX_HALVINGS + 1):
-                xt = x * np.exp(lam * s)
+                xt = x * np.exp(s if lam == 1.0 else lam * s)
                 dt, gt, gtn, mxt = _log_defect(m, xt)
                 if gtn < gn:
                     break

@@ -403,6 +403,17 @@ def test_curves_writes_each_row_as_it_computes_it(tmp_path):
     assert peak < 1_000_000
 
 
+def test_a_reader_that_stops_early_ends_the_run_quietly_with_exit_0(tmp_path):
+    # About 1 MB of rows, more than a pipe holds: the writer meets the closed pipe.
+    path = write(tmp_path, "m.csv", COUNTEREXAMPLE_CSV)
+    argv = [sys.executable, "-m", "inversepoint.cli", "curves", "--input", path, "--samples", "100"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env()) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+
+
 def test_cli_output_byte_identical_across_runs(tmp_path):
     path = write(tmp_path, "m.csv", CURVES_2D_CSV)
     runs = [

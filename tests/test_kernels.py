@@ -66,6 +66,14 @@ def test_positive_root_satisfies_quadratic():
         assert abs(mii * t * t + b * t - 1.0) <= 1e-12 * (1.0 + b + mii)
 
 
+@pytest.mark.parametrize("d", [0.0, 1.0, 1e300])
+@pytest.mark.parametrize("b", [1e308, np.finfo(float).max])
+def test_positive_root_of_the_largest_b_is_1_over_b(d, b):
+    # b + hypot(b, ...) overflowed past ~9e307, and the root read 0.
+    t = _kernels.positive_root(d, b)
+    assert abs(t * b - 1.0) <= 4e-16
+
+
 def test_f_apply_matches_per_row_positive_root():
     rng = np.random.default_rng(1)
     for _ in range(50):
@@ -133,6 +141,25 @@ def test_newton_system_is_defect_and_its_jacobian():
             g_down, _ = _kernels.quad_defect(m, down)
             fd[:, j] = (g_up - g_down) / (2.0 * h)
         assert np.max(np.abs(jac - fd)) <= 1e-7 * np.max(np.abs(jac))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 64, 130])
+def test_gauss_solve_is_numpy_linalg_solve_bitwise(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        a, b = rng.uniform(-1.0, 1.0, (n, n)), rng.uniform(-1.0, 1.0, n)
+        assert _kernels.gauss_solve(a, b).tobytes() == np.linalg.solve(a, b).tobytes()
+
+
+def test_gauss_solve_signals_a_singular_matrix_by_the_invalid_flag():
+    # An exactly zero pivot: np.linalg.solve raises LinAlgError here.
+    a = np.array([[1.0, 2.0], [2.0, 4.0]])
+    with np.errstate(invalid="ignore"):
+        s = _kernels.gauss_solve(a, np.ones(2))
+    assert not np.isfinite(s).any()
+    # The kernel sets no errstate of its own: the caller's decides.
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        _kernels.gauss_solve(a, np.ones(2))
 
 
 def _log_jacobian(m, x):

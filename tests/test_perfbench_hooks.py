@@ -9,10 +9,6 @@ from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
-# Deleted when LAPACK replaced the hand-written elimination; the tracer still
-# lists it (ROADMAP item 4).
-KNOWN_ABSENT = ["inversepoint._kernels.gauss_solve"]
-
 
 def _hooks():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
@@ -30,4 +26,4 @@ def test_every_benchmark_hook_target_resolves():
         # inversepoint.classify is not shadowed by the function of that name.
         if not callable(getattr(importlib.import_module(module), attr, None)):
             absent.append(f"{module}.{attr}")
-    assert absent == KNOWN_ABSENT
+    assert absent == []

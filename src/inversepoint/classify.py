@@ -107,7 +107,8 @@ def perron_vector(M, tol: float = 1e-12, max_iter: int = 100000) -> tuple[Positi
     Starts from the all-ones vector (positive, so it overlaps the dominant
     direction), normalizes by the infinity norm each step, and estimates the
     eigenvalue as ||Mv||_inf / ||v||_inf. Returns (v, lambda) with
-    ||Mv - lambda*v||_inf <= tol * ||v||_inf and ||v||_inf = 1.
+    ||Mv - lambda*v||_inf <= tol * ||v||_inf and ||v||_inf = 1, or raises
+    ConvergenceError, at once where lambda exceeds the largest double.
     """
     m = _entries(M)
     tol = _tol(tol)
@@ -116,13 +117,16 @@ def perron_vector(M, tol: float = 1e-12, max_iter: int = 100000) -> tuple[Positi
         raise NotPrimitiveError("power iteration requires a primitive matrix")
     v = np.ones(m.shape[0])
     lam, defect = 0.0, np.inf
-    for _ in range(max_iter):
-        w = m @ v
-        lam = float(np.max(w))  # ||w||_inf; w > 0 because no row is zero
-        defect = float(np.max(np.abs(w - lam * v)))
-        if defect <= tol:
-            return PositiveVector(v), lam
-        v = w / lam
+    with np.errstate(over="ignore"):  # only the first product can overflow: v <= 1 after it
+        for _ in range(max_iter):
+            w = m @ v
+            lam = float(np.max(w))  # ||w||_inf; w > 0 because no row is zero
+            if not lam < np.inf:  # every later round would be NaN
+                raise ConvergenceError("power iteration: M v overflows the double range; lambda is no double")
+            defect = float(np.max(np.abs(w - lam * v)))
+            if defect <= tol:
+                return PositiveVector(v), lam
+            v = w / lam
     raise ConvergenceError(
         f"power iteration did not reach tol={tol} within {max_iter} iterations: "
         f"lambda {lam!r}, defect {defect:.3e}"

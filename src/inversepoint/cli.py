@@ -18,7 +18,7 @@ import sys
 
 from .classify import classify
 from .errors import ConvergenceError, InversePointError, ValidationError, ZeroRowError
-from .fixedpoint import RowContext, f_value
+from .fixedpoint import RowContext, _root
 from .io import MATRIX_FORMATS, RESULT_FORMATS, emit_classification, emit_result, parse_matrix
 from .solver import METHODS, SolverConfig, solve
 
@@ -83,15 +83,15 @@ def _run_check(args) -> int:
 
 def _curve_rows(mtx, ts):
     """Yield CSV lines sampling each row's solution set on the grid ts^(n-1)
-    of the positive orthant, with the row's own coordinate filled in by its
-    root function."""
+    of the positive orthant, the row's own coordinate filled in by f_value's
+    root, whose check of the point the caller's grid has passed already."""
     for i in range(mtx.n):
         ctx = RowContext.from_matrix(mtx, i)
         for point in itertools.product(ts, repeat=mtx.n - 1):
             coords = [f"{t:.12g}" for t in point]
             coords.insert(i, "")
             try:
-                coords[i] = f"{f_value(ctx, point):.12g}"
+                coords[i] = f"{_root(ctx, float(ctx.off_diagonal.dot(point))):.12g}"
             except ZeroRowError:  # no root here: the coordinate stays empty and the row is skipped
                 pass
             yield f"{i + 1}," + ",".join(coords) + f",{int(not coords[i])}\n"

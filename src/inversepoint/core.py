@@ -123,19 +123,19 @@ def _vector(v, n: int | None = None, copy=False) -> np.ndarray:
 
 
 def _count(v, name: str) -> int:
-    """v as an int of at least 1; numpy integers pass, 0, NaN and 2.5 do not."""
+    """v as an int of at least 1; numpy integers pass, 0, NaN, 2.5 and True do not."""
     try:
         k = operator.index(v)
     except TypeError:
         k = 0
-    if k < 1:
+    if k < 1 or isinstance(v, bool):
         raise ValidationError(f"{name} must be at least 1 (an integer), got {v!r}")
     return k
 
 
 def _tol(v):
-    """v as a tolerance: positive, inf included; NaN fails, as every residual would pass."""
-    if not v > 0:
+    """v as a tolerance: positive and not a bool, inf included; NaN fails, as every residual would pass."""
+    if isinstance(v, (bool, np.bool_)) or not v > 0:
         raise ValidationError("tol must be positive")
     return v
 
@@ -146,9 +146,11 @@ def _positive(x, n: int) -> np.ndarray:
 
 
 def matvec(M, v) -> np.ndarray:
-    """M @ v as a plain ndarray, exact up to float rounding."""
+    """M @ v as a plain ndarray, exact up to float rounding; an entry that
+    overflows is infinite or NaN, with no warning."""
     m = _entries(M, checked=True)
-    return m @ _vector(v, m.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return m @ _vector(v, m.shape[0])
 
 
 def diag_sandwich(M, x) -> Matrix:
@@ -168,9 +170,13 @@ def diag_sandwich(M, x) -> Matrix:
 
 
 def inverse_elementwise(v) -> PositiveVector:
-    """The vector (1/v_1, ..., 1/v_n)."""
-    xv = as_positive_vector(v)
-    return PositiveVector(1.0 / xv.values)
+    """The vector (1/v_1, ..., 1/v_n). A v_i below about 5.6e-309, 1 over
+    the largest double, has no double reciprocal: OverflowError."""
+    with np.errstate(over="ignore"):
+        inv = 1.0 / as_positive_vector(v).values
+    if not vmax(inv) < np.inf:
+        raise OverflowError("1/v overflows the double range")
+    return PositiveVector(inv)
 
 
 def validate_solvable(M, cls=None) -> None:

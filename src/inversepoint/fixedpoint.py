@@ -90,15 +90,24 @@ def F_map(M, x) -> PositiveVector:
 
     x may contain zeros (the bracket iteration starts at the origin); the
     output is strictly positive. Rows with zero diagonal need a positive
-    off-diagonal contribution, else ZeroRowError identifies the row.
+    off-diagonal contribution, else ZeroRowError identifies the row. M and x
+    are finite, so a root that is 0, infinite or NaN comes from a product that
+    left the double range: OverflowError.
     """
     m = _entries(M, checked=True)
     if m.min() < 0:
         raise NonNegativityError("the update map is defined for nonnegative matrices only")
-    return PositiveVector(_kernels.f_apply(m, _point(x, m.shape[0])))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        fx = _kernels.f_apply(m, _point(x, m.shape[0]))
+    if not (_kernels.vmin(fx) > 0 and _kernels.vmax(fx) < np.inf):  # NaN fails both
+        raise OverflowError("F(x) leaves the double range")
+    return PositiveVector(fx)
 
 
 def residual(M, x) -> float:
-    """Infinity-norm defect of the quadratic system: max_i |x_i*(Mx)_i - 1|."""
+    """Infinity-norm defect of the quadratic system: max_i |x_i*(Mx)_i - 1|,
+    infinite where a product overflows (NaN where two overflows meet), with
+    no warning."""
     m = _entries(M, checked=True)
-    return float(_kernels.residual_inf(m, _vector(x, m.shape[0])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(_kernels.residual_inf(m, _vector(x, m.shape[0])))

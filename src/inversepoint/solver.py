@@ -85,7 +85,6 @@ class SolverConfig:
     tol: float = 1e-12
     max_iter: int = 10000
     method: str = "auto"
-    seed: int | None = None
 
     def __post_init__(self):
         self.tol = _tol(self.tol)
@@ -429,14 +428,14 @@ def _log_defect(m, x):
     return d, g, float(_kernels.vmax(np.abs(g))), mx
 
 
-def multistart_uniqueness(M, config: SolverConfig | None = None, starts: int = 20):
-    """Newton from seeded random starts (components log-uniform in
-    [1e-2, 1e2]); returns (first result, max pairwise inf-distance among all
-    solutions, taken as the widest coordinate range, the same double, in
-    O(starts * n) memory). Small distances are empirical evidence of uniqueness."""
+def multistart_uniqueness(M, config: SolverConfig | None = None, starts: int = 20, seed=0):
+    """Newton from random starts, components log-uniform in [1e-2, 1e2] drawn by
+    np.random.default_rng(seed); returns (first result, max pairwise inf-distance
+    among all solutions, taken as the widest coordinate range, the same double,
+    in O(starts * n) memory). Small distances are empirical evidence of uniqueness."""
     starts = _count(starts, "starts")
     m, config, cls = _prepare(M, config)
-    rng = np.random.default_rng(config.seed if config.seed is not None else 0)
+    rng = np.random.default_rng(seed)
     first = None
     solutions = []
     for _ in range(starts):

@@ -23,7 +23,6 @@ from inversepoint import (
     F_map,
     Matrix,
     RowContext,
-    SolverConfig,
     certify,
     f_gradient,
     f_value,
@@ -67,7 +66,7 @@ def uniqueness_runs():
     for k in range(50):
         n = int(rng.integers(2, 6))
         m = random_primitive_positive_diagonal(rng, n)
-        first, dist = multistart_uniqueness(m, SolverConfig(seed=k), starts=20)
+        first, dist = multistart_uniqueness(m, starts=20, seed=k)
         runs.append((m, first, dist))
     elapsed = time.perf_counter() - start
     return runs, elapsed

@@ -1,5 +1,7 @@
 import importlib
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -177,12 +179,22 @@ def test_perron_vector_rejects_a_nonpositive_tol():
         perron_vector(Matrix([[2.0]]), tol=float("nan"))  # would run its whole budget
 
 
-@pytest.mark.parametrize("max_iter", [0, float("nan"), 2.5])
+@pytest.mark.parametrize("max_iter", [0, float("nan"), 2.5, True])
 def test_perron_vector_rejects_a_count_that_is_not_a_positive_integer(max_iter):
     with pytest.raises(ValidationError, match="^max_iter must be at least 1 \\(an integer\\)"):
         perron_vector(Matrix([[2.0]]), max_iter=max_iter)
     v, lam = perron_vector(Matrix([[2.0]]), max_iter=np.int64(1))
     assert lam == 2.0
+
+
+def test_perron_vector_stops_at_once_where_lambda_overflows():
+    # lambda = 3e308 is not a double; every round after the first would be NaN.
+    t0 = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="overflows the double range"):
+            perron_vector(np.full((3, 3), 1e308))
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_perron_vector_budget_error_carries_best():

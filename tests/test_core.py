@@ -337,6 +337,12 @@ def test_matvec_dimension_mismatch():
         matvec(Matrix(np.eye(3)), [1.0, 2.0])
 
 
+def test_matvec_that_overflows_is_infinite_without_a_warning():
+    # The suite turns a RuntimeWarning into an error.
+    assert np.array_equal(matvec([[1e308]], [10.0]), [np.inf])
+    assert np.array_equal(matvec([[1e308, 1e308], [1.0, 1.0]], [10.0, 10.0]), [np.inf, 20.0])
+
+
 # Every reader of x goes through one rule: 1-d, of M's length, and nonempty
 # where x must be positive.
 VECTOR_READERS = {
@@ -365,7 +371,7 @@ def test_every_reader_of_x_states_the_shape_or_length_it_got(name):
             read([1.0, 1.0, 1.0])
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan"), -np.inf], ids=str)
+@pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan"), -np.inf, True, np.True_], ids=str)
 def test_every_tol_reader_rejects_a_tol_that_is_not_positive(tol):
     for call in (lambda: SolverConfig(tol=tol), lambda: perron_vector([[2.0, 1.0], [1.0, 2.0]], tol=tol),
                  lambda: oracle_solve(np.eye(2), tol=tol)):
@@ -448,6 +454,14 @@ def test_inverse_elementwise_examples():
     got = inverse_elementwise(ZERO_DIAG_X).values
     expected = np.array([1.0 / SQRT2, SQRT2, SQRT2])
     assert np.max(np.abs(got - expected)) < 1e-15 * SQRT2
+
+
+@pytest.mark.parametrize("v", [[1e-310], [1.0, 5e-324]], ids=str)
+def test_inverse_elementwise_reports_its_own_overflow(v):
+    # v is a valid positive vector; only its reciprocal leaves the double range.
+    with pytest.raises(OverflowError, match=r"^1/v overflows the double range$"):
+        inverse_elementwise(v)
+    assert inverse_elementwise([1e-308]).values[0] < np.inf
 
 
 def test_inverse_elementwise_is_involution():

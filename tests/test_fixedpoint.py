@@ -212,6 +212,26 @@ def test_F_map_rejects_negative_inputs():
         F_map(Matrix(np.eye(2)), [1.0, -1.0])
 
 
+@pytest.mark.parametrize(
+    "m, x",
+    [
+        ([[1.0, 1e308], [1e308, 1.0]], [1e10, 1e10]),  # b overflows: the root would be 0
+        ([[1e308, 1.0], [1.0, 1.0]], [1e10, 1.0]),  # inf - inf: the root would be NaN
+        ([[0.0, 5e-324], [5e-324, 0.0]], [1.0, 1.0]),  # 1/b exceeds the largest double
+    ],
+    ids=["zero", "nan", "inf"],
+)
+def test_F_map_reports_a_root_outside_the_double_range_as_an_overflow(m, x):
+    # M and x are valid; the suite turns a RuntimeWarning into an error.
+    with pytest.raises(OverflowError, match=r"^F\(x\) leaves the double range$"):
+        F_map(m, x)
+
+
+def test_residual_that_overflows_is_infinite_without_a_warning():
+    assert residual([[1e308]], [1e10]) == np.inf
+    assert np.isnan(residual([[1.0, 1.0], [1e308, 1.0]], [1e10, 0.0]))  # 0 * inf
+
+
 def test_F_map_and_residual_reject_a_misshapen_vector():
     m = Matrix(np.eye(3))
     for call in (F_map, residual):

@@ -1,5 +1,5 @@
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -425,7 +425,7 @@ def test_multistart_rejects_no_starts(triangular):
         multistart_uniqueness(triangular, starts=0)
 
 
-@pytest.mark.parametrize("starts", [float("nan"), 2.5])
+@pytest.mark.parametrize("starts", [float("nan"), 2.5, True])
 def test_multistart_rejects_a_count_that_is_not_a_positive_integer(triangular, starts):
     with pytest.raises(ValidationError, match="^starts must be at least 1 \\(an integer\\)"):
         multistart_uniqueness(triangular, starts=starts)
@@ -433,7 +433,7 @@ def test_multistart_rejects_a_count_that_is_not_a_positive_integer(triangular, s
     assert first.converged
 
 
-@pytest.mark.parametrize("max_iter", [2.5, float("inf")])
+@pytest.mark.parametrize("max_iter", [2.5, float("inf"), True])
 def test_solverconfig_rejects_a_count_that_is_not_a_positive_integer(max_iter):
     with pytest.raises(ValidationError, match="^max_iter must be at least 1 \\(an integer\\)"):
         SolverConfig(max_iter=max_iter)
@@ -456,21 +456,43 @@ def test_multistart_spread_is_the_largest_pairwise_distance(zero_diag):
         else:
             sol = 10.0 ** rng.uniform(-300, 300, (starts, n))
         assert np.max(sol.max(axis=0) - sol.min(axis=0)) == _pairwise_spread(sol)
-    config = SolverConfig(seed=7)
-    _, spread = multistart_uniqueness(zero_diag, config, starts=12)
+    _, spread = multistart_uniqueness(zero_diag, starts=12, seed=7)
     draws = np.random.default_rng(7)
-    sol = [solve_newton(zero_diag, 10.0 ** draws.uniform(-2.0, 2.0, 3), config).x.values for _ in range(12)]
+    sol = [solve_newton(zero_diag, 10.0 ** draws.uniform(-2.0, 2.0, 3)).x.values for _ in range(12)]
     assert spread == _pairwise_spread(np.array(sol))
 
 
 def test_multistart_seed_controls_starts(zero_diag):
-    r1 = multistart_uniqueness(zero_diag, SolverConfig(seed=5), starts=4)
-    r2 = multistart_uniqueness(zero_diag, SolverConfig(seed=5), starts=4)
-    r3 = multistart_uniqueness(zero_diag, SolverConfig(seed=6), starts=4)
+    r1 = multistart_uniqueness(zero_diag, starts=4, seed=5)
+    r2 = multistart_uniqueness(zero_diag, starts=4, seed=5)
+    r3 = multistart_uniqueness(zero_diag, starts=4, seed=6)
     assert r1[0].iterations == r2[0].iterations
     assert r1[1] == r2[1]
     # different seed, same fixed point
     assert np.max(np.abs(r1[0].x.values - r3[0].x.values)) <= 1e-8
+
+
+def test_multistart_draws_its_starts_from_its_seed(triangular, monkeypatch):
+    import inversepoint.solver as solver_module
+
+    starts = []
+
+    def recording(m, x0, config, *, _cls):
+        starts.append(x0)
+        return real(m, x0, config, _cls=_cls)
+
+    real = solver_module.solve_newton
+    monkeypatch.setattr(solver_module, "solve_newton", recording)
+    multistart_uniqueness(triangular, starts=3, seed=7)
+    draws = np.random.default_rng(7)
+    assert all(np.array_equal(x0, 10.0 ** draws.uniform(-2.0, 2.0, 3)) for x0 in starts)
+    assert len(starts) == 3
+
+
+def test_solverconfig_holds_only_the_settings_every_solver_reads():
+    assert [f.name for f in fields(SolverConfig)] == ["tol", "max_iter", "method"]
+    with pytest.raises(TypeError):
+        SolverConfig(seed=1)
 
 
 def test_solve_1x1():

@@ -1,5 +1,5 @@
-"""Hypothesis checks on the input matrix: the positive diagonal that lets auto
-fall back to the bracket, and the certificate the contraction solver needs."""
+"""Hypothesis checks on the input matrix: the positive diagonal that the bracket
+needs, and the certificate the contraction solver needs."""
 
 from __future__ import annotations
 

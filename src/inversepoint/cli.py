@@ -16,9 +16,11 @@ import itertools
 import os
 import sys
 
+import numpy as np
+
 from .classify import classify
 from .errors import ConvergenceError, InversePointError, ValidationError, ZeroRowError
-from .fixedpoint import RowContext, _root
+from .fixedpoint import RowContext, _b, _root
 from .io import MATRIX_FORMATS, RESULT_FORMATS, emit_classification, emit_result, parse_matrix
 from .solver import METHODS, SolverConfig, solve
 
@@ -91,8 +93,8 @@ def _curve_rows(mtx, ts):
             coords = [f"{t:.12g}" for t in point]
             coords.insert(i, "")
             try:
-                coords[i] = f"{_root(ctx, float(ctx.off_diagonal.dot(point))):.12g}"
-            except ZeroRowError:  # no root here: the coordinate stays empty and the row is skipped
+                coords[i] = f"{_root(ctx, _b(ctx, point)):.12g}"
+            except (ZeroRowError, OverflowError):  # the coordinate stays empty and the row is skipped
                 pass
             yield f"{i + 1}," + ",".join(coords) + f",{int(not coords[i])}\n"
 
@@ -107,7 +109,8 @@ def _run_curves(args) -> int:
     if ts[-1] == float("inf"):  # t_max * samples overflowed: fail before the first line is written
         raise ValidationError("coordinates must be finite and nonnegative")
     sys.stdout.write("curve_index," + "".join(f"x{j + 1}," for j in range(mtx.n)) + "skipped\n")
-    sys.stdout.writelines(_curve_rows(mtx, ts))
+    with np.errstate(over="ignore"):  # a point whose b overflows is skipped
+        sys.stdout.writelines(_curve_rows(mtx, ts))
     return 0
 
 

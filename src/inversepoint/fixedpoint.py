@@ -65,8 +65,17 @@ def _root(ctx: RowContext, b: float) -> float:
 
 
 def b_value(ctx: RowContext, others) -> float:
-    """The x_i coefficient: sum over j != i of m_ij * x_j."""
-    return float(np.dot(ctx.off_diagonal, _point(others, ctx.off_diagonal.shape[0])))
+    """The x_i coefficient: sum over j != i of m_ij * x_j; OverflowError where it overflows."""
+    with np.errstate(over="ignore"):
+        return _b(ctx, _point(others, ctx.off_diagonal.shape[0]))
+
+
+def _b(ctx: RowContext, point) -> float:
+    """b_value at a checked point, F_map's overflow rule included; its caller ignores numpy's warning."""
+    b = float(ctx.off_diagonal.dot(point))
+    if b < np.inf:
+        return b
+    raise OverflowError(f"row {ctx.row_index}: b leaves the double range")
 
 
 def f_value(ctx: RowContext, others) -> float:

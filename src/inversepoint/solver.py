@@ -1,16 +1,11 @@
 """Solvers for x_i * (Mx)_i = 1: log-space Newton, nested-box bracketing,
 contraction iteration, and an auto mode.
 
-Auto runs Newton first, from 1/sqrt(rowsum(M)) refined by Sinkhorn pairs
-for as long as they contract fast and closed by one half step; dense inputs
-need no Newton step after them. If Newton fails and the diagonal is positive,
-the paper's nested boxes take over (the bracket, whose convergence the paper
-proves); otherwise Newton's own error is raised.
-solve_newton is the one Newton of the package: damped Newton in y = log x on M
-itself, with no normalised copy, from that swept start. Every operation of
-its loop, and of the start, scales exactly under M -> 4^j M, x -> x / 2^j, so
-x(4^j M) = x(M) / 2^j holds bitwise until an intermediate leaves the normal
-range.
+Auto is solve_newton, the one Newton of the package: damped Newton in
+y = log x on M itself from a swept start, and where that fails, on M's exact
+power-of-two balance P M P, whose products stay in range. Every operation
+scales exactly under M -> 4^j M, x -> x / 2^j, so x(4^j M) = x(M) / 2^j holds
+bitwise until an intermediate leaves the normal range.
 
 Every public solver returns a SolveResult whose converged flag means
 residual <= config.tol at the returned point; a failure raises
@@ -150,10 +145,8 @@ def _failure(text, x, iterations, method, trace, cls, error=ConvergenceError):
 
 
 def solve(M, config: SolverConfig | None = None) -> SolveResult:
-    """Dispatch on config.method. Newton starts where auto does."""
+    """Dispatch on config.method. Auto and newton are one solver."""
     config = config or SolverConfig()
-    if config.method == "auto":
-        return solve_auto(M, config)
     if config.method == "bracket":
         return solve_bracket(M, config)
     if config.method == "contraction":
@@ -162,18 +155,8 @@ def solve(M, config: SolverConfig | None = None) -> SolveResult:
 
 
 def solve_auto(M, config: SolverConfig | None = None) -> SolveResult:
-    """Log-space Newton from its default start, within config.max_iter steps
-    as method="newton" runs it. If it fails and the diagonal is positive, the
-    bracket's nested boxes take over, where the paper proves convergence; the
-    result does not count the failed Newton steps. Otherwise Newton's error is
-    raised, carrying its last iterate."""
-    m, config, cls = _prepare(M, config)
-    try:
-        return solve_newton(m, None, config, _cls=cls)
-    except ConvergenceError:
-        if not cls.positive_diagonal:
-            raise
-    return _bracket(m, cls, config)
+    """solve_newton from its default start, as method="newton" runs it."""
+    return solve_newton(M, None, config)
 
 
 def solve_contraction(M, config: SolverConfig | None = None) -> SolveResult:
@@ -271,7 +254,7 @@ def _bracket(m, cls, config, bracket_log=None, method="bracket") -> SolveResult:
     best = _result(point, iterations, method, trace, False, cls)
     rest = replace(config, max_iter=max(1, config.max_iter - iterations))
     try:
-        fin = solve_newton(m, best.x, rest, _cls=cls)
+        fin = _newton(m, best.x.values, rest, cls)
     except ConvergenceError as err:
         raise ConvergenceError(
             f"{method} stalled at gap {gap:.3e} and the Newton fallback failed: {err}", result=best
@@ -279,22 +262,19 @@ def _bracket(m, cls, config, bracket_log=None, method="bracket") -> SolveResult:
     return replace(fin, iterations=iterations + fin.iterations, trace=np.concatenate([trace, fin.trace]))
 
 
-def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -> SolveResult:
+def solve_newton(M, x0=None, config: SolverConfig | None = None) -> SolveResult:
     """Damped Newton in log space, y = log x, from a positive start.
 
-    It solves G(y) = log(x_i*(Mx)_i) = 0 on M itself, with x in M's own
-    scale. Every operation of its loop, products with M included, scales
-    exactly under M -> 4^j M, x -> x / 2^j, so x(4^j M) = x(M) / 2^j holds
-    bitwise unless an intermediate leaves the normal range. M is validated by
-    _prepare unless the caller passes M's entries, as _prepare returns them,
-    and their Classification as _cls. An explicit x0 is used as given. The
-    default start, _swept_start, is r = 1/sqrt(rowsum(M)) refined by Sinkhorn
-    pairs z <- 1/(M(1/(Mz))) and one closing half step y <- y - G(y)/2. Near
-    the solution a pair multiplies the error by S^2, S = diag(x) M diag(x)
-    stochastic: by lambda^2 on an eigenvalue lambda of S, small on dense
-    inputs, near 1 where lambda_2 is near -1, where Newton takes over after a
-    pair or two. Pairs leave the overall scale, and modes with lambda near 1,
-    alone; the half step removes them.
+    It solves G(y) = log(x_i*(Mx)_i) = 0 on M itself, with x in M's own scale;
+    every operation of its loop, products with M included, obeys the scale
+    law. An explicit x0 is used as given. The default start, _swept_start, is
+    r = 1/sqrt(rowsum(M)) refined by Sinkhorn pairs z <- 1/(M(1/(Mz))) and one
+    closing half step y <- y - G(y)/2. Near the solution a pair multiplies the
+    error by S^2, S = diag(x) M diag(x) stochastic: by lambda^2 on an
+    eigenvalue lambda of S, small on dense inputs, near 1 where lambda_2 is
+    near -1, where Newton takes over after a pair or two. Pairs leave the
+    overall scale, and modes with lambda near 1, alone; the half step removes
+    them.
 
     With g = log1p(x*(Mx) - 1) the step s solves
     (I + diag(1/Mx) M diag(x)) s = -g: from n = KRYLOV_MIN_N on by matrix-free
@@ -312,26 +292,50 @@ def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -
     returns NaN at an exactly zero pivot) raises SingularJacobianError, a
     spent budget or a line search that fails ConvergenceError; both carry the
     last iterate as a non-converged result.
+
+    From the default start, a ConvergenceError reruns Newton on _balanced's
+    M' = P M P with M's Classification. As x_i (Mx)_i = x'_i (M'x')_i for
+    x = P x', that pass's trace is M's, and x = P x' is returned if it is
+    normal; else a range ConvergenceError with no result, or, where the M'
+    pass fails too, the first pass's error.
     """
-    m, config, _cls = _prepare(M, config) if _cls is None else (M, config, _cls)
-    n = m.shape[0]
+    m, config, cls = _prepare(M, config)
+    if x0 is not None:
+        return _newton(m, _positive(x0, m.shape[0]), config, cls)
+    try:
+        return _newton(m, None, config, cls)
+    except ConvergenceError as first:
+        mb, k = _balanced(m)
+        try:
+            res = _newton(mb, None, config, cls)
+        except ConvergenceError:
+            raise first from None
+    f, e = np.frexp(res.x.values)
+    e = e + k  # x = f 2^e with f in [1/2, 1): normal where -1021 <= e <= 1024
+    if -1021 <= _kernels.vmin(e) and _kernels.vmax(e) <= 1024:
+        return replace(res, x=PositiveVector(np.ldexp(f, e)))
+    raise ConvergenceError(f"newton: x spans 2^{_kernels.vmin(e) - 1}..2^{_kernels.vmax(e)}, outside the double range "
+                           "of normal numbers")
+
+
+def _newton(m, x, config, cls):
+    """solve_newton's loop on m from x, or from _swept_start where x is None."""
     iterations = 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if x0 is None:
+        if x is None:
             x, d, g, gn, mx, trace = _swept_start(m, config.tol)
         else:
-            x = _positive(x0, n)
             d, g, gn, mx = _log_defect(m, x)
             trace = [float(_kernels.vmax(np.abs(d)))]
         while trace[-1] > config.tol:
             if not gn < np.inf:  # only at the start: an accepted step lowers gn
                 raise _failure("the start point is too far off: the log defect log1p(x*(Mx) - 1) is not "
-                               "finite there", x, iterations, "newton", trace, _cls)
+                               "finite there", x, iterations, "newton", trace, cls)
             if iterations >= config.max_iter:
                 raise _failure(f"residual {trace[-1]:.3e} after {iterations} iterations (budget exhausted)",
-                               x, iterations, "newton", trace, _cls)
+                               x, iterations, "newton", trace, cls)
             s = None
-            if n >= KRYLOV_MIN_N:
+            if m.shape[0] >= KRYLOV_MIN_N:
                 # Relaxed where ||r||_2 <= tol/2 suffices; then max|g|^2 < tol/2.
                 eta = min(0.5, max(gn, 0.5 * config.tol / float(np.sqrt(g @ g))))
                 s = _kernels.krylov_step(m, x, mx, g, eta, KRYLOV_MAX_ITER)
@@ -341,7 +345,7 @@ def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -
             smax = float(_kernels.vmax(np.abs(s)))
             if not smax < np.inf:
                 raise _failure(f"the Jacobian is singular at iteration {iterations}", x, iterations, "newton",
-                               trace, _cls, SingularJacobianError)
+                               trace, cls, SingularJacobianError)
             lam = 1.0 if smax <= NEWTON_MAX_STEP else NEWTON_MAX_STEP / smax
             for _ in range(NEWTON_MAX_HALVINGS + 1):
                 xt = x * np.exp(s if lam == 1.0 else lam * s)
@@ -351,11 +355,11 @@ def solve_newton(M, x0=None, config: SolverConfig | None = None, *, _cls=None) -
                 lam *= 0.5
             if not gtn < gn:
                 raise _failure(f"line search could not reduce the log defect below {gn:.3e} within "
-                               f"{NEWTON_MAX_HALVINGS} halvings", x, iterations, "newton", trace, _cls)
+                               f"{NEWTON_MAX_HALVINGS} halvings", x, iterations, "newton", trace, cls)
             iterations += 1
             x, d, g, gn, mx = xt, dt, gt, gtn, mxt
             trace.append(float(_kernels.vmax(np.abs(d))))
-    return _result(x, iterations, "newton", trace, True, _cls)
+    return _result(x, iterations, "newton", trace, True, cls)
 
 
 def _swept_start(m, tol):
@@ -363,11 +367,11 @@ def _swept_start(m, tol):
 
     It is r = 1/sqrt(rowsum(M)), the row sums taken as one product with a
     vector of ones: it costs about a third of m.sum(axis=1), and it scales
-    exactly under M -> 4^j M as every other product does. A row whose sum
-    overflows is summed over M / 4^512 the same way, and its entry scaled
-    back by 2^-512. Where r's residual is above tol, Sinkhorn pairs
-    z <- 1/(M(1/(Mz))) refine it, two products each, the first reusing the
-    product already held. A pair is judged by the scale-free defect
+    exactly under M -> 4^j M as every other product does. A row sum that
+    overflows gives r an entry 0; where no pair lifts it, Newton fails at the
+    start and solve_newton runs on M's balance. Where r's residual is above
+    tol, Sinkhorn pairs z <- 1/(M(1/(Mz))) refine it, two products each, the
+    first reusing the product already held. A pair is judged by the scale-free defect
     e = max q / min q - 1 of q = z*(Mz): it is kept only if it lowers e, and
     another follows only while e > tol and the last one cut e by at least
     SWEEP_MIN_RATE. One half step x = z/sqrt(q), which is
@@ -379,15 +383,11 @@ def _swept_start(m, tol):
     by the residual at the closed point (a lone entry where no pair was
     kept); where r is returned, only r's residual.
     """
-    # Positive row sums: M is validated. A row sum overflows only near the
-    # largest double. np.ones costs more than the product up to n = 64.
+    # Positive row sums: M is validated. np.ones costs more than the product
+    # up to n = 64.
     ones = np.empty(m.shape[0])
     ones.fill(1.0)
-    rows = m.dot(ones)
-    r = np.reciprocal(np.sqrt(rows))
-    if _kernels.vmax(rows) == np.inf:
-        big = np.isinf(rows)
-        r[big] = 2.0**-512 / np.sqrt((m[big] * 2.0**-1024).dot(ones))
+    r = np.reciprocal(np.sqrt(m.dot(ones)))
     mr = m.dot(r)
     q = r * mr
     hi, lo = _kernels.vmax(q), _kernels.vmin(q)
@@ -417,6 +417,24 @@ def _swept_start(m, tol):
     return r, d, g, float(_kernels.vmax(np.abs(g))), mr, trace
 
 
+def _balanced(m):
+    """(M' = P M P, k), P = diag(2^k): Ruiz's inf-norm equilibration in radix
+    powers, as Parlett and Reinsch balance. With e the exponents of M's nonzero
+    entries, k -= r // 2, r = k + max_j(e_ij + k_j), from k = -(max e // 2) (so
+    k(4^j M) = k(M) - j) until every |r_i| <= 1, for at most the exponent span
+    + 64 rounds. M' is one ldexp of the summed exponents: two may overflow."""
+    f, e = np.frexp(m)
+    masked = np.where(f > 0, e, np.int64(-1 << 40))  # a zero is no row maximum
+    top = int(masked.max())
+    k = np.full(m.shape[0], -(top // 2), dtype=np.int64)
+    for _ in range(top - int(e[f > 0].min()) + 64):
+        r = k + (masked + k).max(axis=1)
+        if _kernels.vmax(np.abs(r)) <= 1:
+            break
+        k -= r // 2
+    return np.ldexp(f, e + k[:, None] + k), k
+
+
 def _log_defect(m, x):
     """(d, g, max|g|, Mx) at x: the quadratic defect d = x*(Mx) - 1, the log
     defect g = log1p(d) and the product behind both. Callers ignore
@@ -440,7 +458,7 @@ def multistart_uniqueness(M, config: SolverConfig | None = None, starts: int = 2
     solutions = []
     for _ in range(starts):
         x0 = 10.0 ** rng.uniform(-2.0, 2.0, m.shape[0])
-        res = solve_newton(m, x0, config, _cls=cls)
+        res = _newton(m, x0, config, cls)
         if first is None:
             first = res
         solutions.append(res.x.values)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from inversepoint import Matrix, is_primitive
+from inversepoint import Matrix, SolverConfig, classify, is_primitive
 
 
 def random_positive_diagonal(rng, n):
@@ -58,9 +58,13 @@ def default_start(m):
     return 1.0 / np.sqrt(a @ np.ones(a.shape[0]))
 
 
-# Draws of wide_range_draws() whose solution lies outside the double range: a
-# 60-digit solve puts draw 25 at x ~ (1.37e95, 1.6e-344).
-OUT_OF_RANGE_DRAWS = (19, 25, 28, 40, 43, 46, 48, 67, 69, 92)
+# Draws of wide_range_draws() whose solution lies outside the double range
+# (draw 25 at x ~ (1.37e95, 1.6e-344)), and those whose solution has a
+# subnormal entry; the other 76 lie in the normal range. The exact pair
+# (x', k), x = 2^k x', of balanced_pass classifies them as a
+# 60-digit solve does.
+OUT_OF_RANGE_DRAWS = (4, 9, 13, 17, 20, 25, 29, 30, 38, 40, 43, 46, 53, 55, 56, 67, 69, 84, 89, 92)
+SUBNORMAL_DRAWS = (19, 28, 48, 59)
 
 
 def wide_range_draws(count=100):
@@ -73,3 +77,16 @@ def wide_range_draws(count=100):
         n = rng.integers(2, 7)
         out.append(rng.uniform(0, 1, (n, n)) * 10.0 ** rng.uniform(-300, 300, (n, n)))
     return out
+
+
+def balanced_pass(m):
+    """(Newton's result on M's balance M' from its default start, with M's
+    Classification, and k): the pass behind solve_newton's fallback, whose
+    exact pair (x', k) gives x = 2^k x' whatever the range of x."""
+    # Imported here: tools/outcomes.py reads this module with a parent's src.
+    from inversepoint.core import _entries
+    from inversepoint.solver import _balanced, _newton
+
+    a = _entries(m)
+    mb, k = _balanced(a)
+    return _newton(mb, None, SolverConfig(), classify(a)), k

@@ -111,20 +111,23 @@ def test_solve_contraction_budget_exit_2_emits_best(tmp_path, capsys):
 
 
 def test_solve_solution_outside_the_double_range_exit_2(tmp_path, capsys):
-    # The input is valid (every entry positive), but x ~ (1.37e95, 1.6e-344)
-    # has no double representation: a numerical failure with nothing to emit.
+    # The input is valid (every entry positive), but x ~ (1.37e95, 1.6e-344),
+    # which Newton on M's balance finds as 2^k x', has no double
+    # representation: a numerical failure with nothing to emit.
     m = wide_range_draws()[25]
     text = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in m)
     code, out, err = run_cli(capsys, "solve", "--input", write(tmp_path, "wide.csv", text))
     assert (code, out) == (2, "")
-    assert "outside the double range" in err
+    assert "outside the double range" in err and "2^-1143" in err
 
 
 def test_solve_best_iterate_whose_certificate_overflows_exit_2(tmp_path, capsys):
-    # A finite positive 3x3 whose failed best iterate x ~ (9e97, 5e-144,
-    # 2e-159) makes diag(x) M diag(x) overflow: infinite defects, not bad input.
+    # A finite positive 3x3 on which the bracket's failed best iterate
+    # x ~ (9e97, 5e-144, 2e-159) makes diag(x) M diag(x) overflow: infinite
+    # defects, not bad input. (Its solution lies outside the double range, so
+    # auto fails with no result.)
     path = write(tmp_path, "wide9.csv", emit_matrix(wide_range_draws()[9]))
-    code, out, err = run_cli(capsys, "solve", "--input", path)
+    code, out, err = run_cli(capsys, "solve", "--input", path, "--method", "bracket")
     assert code == 2
     payload = json.loads(out)
     assert payload["converged"] is False
@@ -354,6 +357,14 @@ def test_curves_skipped_flag_for_undefined_rows(tmp_path, capsys):
     assert all(r[4] == "1" for r in curve1)  # zero row: every sample skipped
     assert all(r[1] == "" for r in curve1)
     assert all(r[4] == "0" for r in rows if r[0] != "1")
+
+
+def test_curves_skips_a_point_whose_b_overflows(tmp_path, capsys):
+    # b = 1e308 * t overflows at t = 5 and 10: no root, as for a zero row.
+    path = write(tmp_path, "m.csv", "1,1e308\n1e308,1\n")
+    code, out, err = run_cli(capsys, "curves", "--input", path, "--samples", "2", "--t-max", "10")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["curve_index,x1,x2,skipped", "1,,5,1", "1,,10,1", "2,5,,1", "2,10,,1"]
 
 
 def test_curves_wrong_dimension_exit_1(tmp_path, capsys):

@@ -227,6 +227,15 @@ def test_F_map_reports_a_root_outside_the_double_range_as_an_overflow(m, x):
         F_map(m, x)
 
 
+@pytest.mark.parametrize("helper", [b_value, f_value, f_gradient])
+def test_row_helpers_report_a_b_that_overflows_as_an_overflow(helper):
+    # As F_map does; before, the dot product warned and the root was 0.
+    row = RowContext.from_matrix([[1.0, 1e308], [1e308, 1.0]], 0)
+    with pytest.raises(OverflowError, match=r"^row 0: b leaves the double range$"):
+        helper(row, [10.0])
+    assert helper(row, [1.0]) is not None  # 1e308 itself is in range
+
+
 def test_residual_that_overflows_is_infinite_without_a_warning():
     assert residual([[1e308]], [1e10]) == np.inf
     assert np.isnan(residual([[1.0, 1.0], [1e308, 1.0]], [1e10, 0.0]))  # 0 * inf

@@ -8,12 +8,13 @@ import pytest
 
 from helpers import (
     OUT_OF_RANGE_DRAWS,
+    SUBNORMAL_DRAWS,
     default_start,
     random_contraction,
     random_positive_diagonal,
     wide_range_draws,
 )
-from inversepoint import ConvergenceError, Matrix, SolverConfig, solve, solve_newton
+from inversepoint import ConvergenceError, Matrix, SolverConfig, residual, solve, solve_newton
 from test_solver import check_converged_invariants
 
 
@@ -71,8 +72,9 @@ def test_bracket_on_weak_diagonal_at_large_scale_is_right_or_fails():
 
 @pytest.mark.parametrize("n", [2, 3, 50])
 def test_entries_near_the_overflow_threshold(n):
-    # Every row sum of M overflows, so the start 1/sqrt(rowsum) re-sums those
-    # rows over M / 4^512 and scales the result back by 2^-512.
+    # Every row sum of M overflows, so the start 1/sqrt(rowsum) is 0 and
+    # Newton fails there; on M's balance, every entry 2^(2k) c, the start is
+    # the solution.
     c = 1.7e308
     res = solve(np.full((n, n), c))
     assert res.converged and res.residual <= 1e-12
@@ -167,17 +169,10 @@ def test_wide_range_draws_fail_only_numerically(method):
         check_converged_invariants(Matrix(m), res)
 
 
-# The draws of wide_range_draws() that each method solves. When the sweep pair
-# was x <- 1/(Mx), x <- sqrt(x/(Mx)) with no closing half step, auto solved
-# all of its set but draw 8, and newton 36 of its set.
-WIDE_RANGE_SOLVED = {
-    "auto": {1, 2, 3, 5, 7, 8, 10, 11, 12, 14, 15, 16, 18, 21, 22, 24, 26, 27, 32, 33, 34, 35, 36, 37, 39, 41, 42,
-             44, 45, 47, 49, 50, 51, 52, 54, 57, 58, 60, 61, 62, 63, 64, 65, 66, 68, 70, 71, 72, 73, 74, 75, 76,
-             78, 79, 80, 81, 82, 83, 85, 86, 87, 88, 90, 91, 93, 94, 95, 97, 98, 99},
-    "newton": {1, 2, 3, 5, 7, 8, 10, 11, 12, 14, 15, 18, 22, 24, 26, 27, 32, 33, 34, 35, 37, 39, 41, 42, 44, 45,
-               47, 49, 50, 51, 52, 54, 57, 58, 60, 61, 64, 65, 68, 70, 72, 73, 74, 76, 78, 79, 80, 81, 82, 83, 85,
-               86, 87, 88, 90, 91, 93, 94, 95, 97, 98, 99},
-}
+# The draws of wide_range_draws() that auto and newton solve: every draw whose
+# solution lies in the normal range. Before Newton ran again on M's balance,
+# auto solved 70 draws (3 of them through a bracket leg) and newton 62.
+WIDE_RANGE_SOLVED = set(range(100)) - set(OUT_OF_RANGE_DRAWS) - set(SUBNORMAL_DRAWS)
 
 
 @pytest.mark.parametrize("method", ["auto", "newton"])
@@ -185,22 +180,24 @@ def test_wide_range_draws_solved_are_pinned(method):
     solved = set()
     for k, m in enumerate(wide_range_draws()):
         try:
-            solve(m, SolverConfig(method=method))
+            res = solve(m, SolverConfig(method=method))
         except ConvergenceError:
             continue
+        assert residual(m, res.x.values) <= 1e-12
         solved.add(k)
-    assert solved == WIDE_RANGE_SOLVED[method]
+    assert solved == WIDE_RANGE_SOLVED
 
 
 def test_solution_outside_the_double_range_raises_convergence_error():
-    # The bracket's box midpoint underflows to 0 in an entry whose solution
-    # lies below the double range. No PositiveVector can hold it, so the
+    # Newton on M's balance finds x = 2^k x' (test_balance checks the pair),
+    # but outside the normal range no double holds it exactly, or at all. The
     # error carries no result.
     draws = wide_range_draws()
-    for k in OUT_OF_RANGE_DRAWS:
-        with pytest.raises(ConvergenceError, match="outside the double range") as err:
-            solve(draws[k])
-        assert err.value.result is None
+    for k in OUT_OF_RANGE_DRAWS + SUBNORMAL_DRAWS:
+        for method in ("auto", "newton"):
+            with pytest.raises(ConvergenceError, match="outside the double range") as err:
+                solve(draws[k], SolverConfig(method=method))
+            assert err.value.result is None
 
 
 def test_dense_n400_weak_diagonal():

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import TRIANGULAR_X, ZERO_DIAG_X
 from helpers import (
+    balanced_pass,
     default_start,
     random_contraction,
     random_positive_diagonal,
@@ -337,15 +338,18 @@ def test_solve_newton_rejects_a_start_of_the_wrong_length(triangular):
 
 
 def test_bracket_fallback_whose_newton_pass_fails_carries_the_midpoint():
-    # Entries spread over 600 decades: auto's Newton pass fails, the bracket
-    # stalls, and Newton from the box midpoint cannot lower the log defect.
+    # Entries spread over 600 decades: the bracket stalls, and Newton from the
+    # box midpoint cannot lower the log defect. Auto solves the draw by
+    # Newton on M's balance.
+    m = wide_range_draws()[0]
     with pytest.raises(ConvergenceError, match="Newton fallback failed") as err:
-        solve(wide_range_draws()[0])
+        solve(m, SolverConfig(method="bracket"))
     cause = err.value.__cause__
     assert type(cause) is ConvergenceError and "line search" in str(cause)
     best = err.value.result
     assert (best.method_used, best.converged) == ("bracket", False)
     assert best.residual == best.trace[-1]
+    check_converged_invariants(Matrix(m), solve(m))
 
 
 def test_solve_newton_default_start_is_autos_start(triangular):
@@ -477,12 +481,12 @@ def test_multistart_draws_its_starts_from_its_seed(triangular, monkeypatch):
 
     starts = []
 
-    def recording(m, x0, config, *, _cls):
+    def recording(m, x0, config, cls):
         starts.append(x0)
-        return real(m, x0, config, _cls=_cls)
+        return real(m, x0, config, cls)
 
-    real = solver_module.solve_newton
-    monkeypatch.setattr(solver_module, "solve_newton", recording)
+    real = solver_module._newton
+    monkeypatch.setattr(solver_module, "_newton", recording)
     multistart_uniqueness(triangular, starts=3, seed=7)
     draws = np.random.default_rng(7)
     assert all(np.array_equal(x0, 10.0 ** draws.uniform(-2.0, 2.0, 3)) for x0 in starts)
@@ -594,60 +598,57 @@ def test_classify_and_validate_once_per_solve(monkeypatch, triangular, zero_diag
         monkeypatch.setattr(solver_module, name, counting(name))
     weak = Matrix([[1e-4, 1], [1, 1e-4]])
     ones_off_diagonal = Matrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    # (method_used, whether auto's Newton pass fails, run): the failing pass
-    # sends auto to the bracket, or to the bracket and its Newton hand-off;
-    # with a zero diagonal it re-raises Newton's error, whose result counts.
+    # (whether auto's first Newton pass fails, run): the failing pass sends
+    # Newton to M's balance, which it solves with M's Classification; the
+    # bracket hands a stalled box to Newton with it too.
     runs = [
-        ("newton", False, lambda: solve(triangular)),
-        ("newton", False, lambda: solve(weak)),
-        ("newton", False, lambda: solve(zero_diag)),
-        ("newton", False, lambda: solve(ones_off_diagonal)),
-        ("newton", False, lambda: multistart_uniqueness(zero_diag, starts=20)[0]),
-        ("bracket", True, lambda: solve(triangular)),
-        ("newton", True, lambda: solve(weak)),
-        ("newton", True, lambda: solve(zero_diag)),
-        ("newton", True, lambda: solve(ones_off_diagonal)),
+        (False, lambda: solve(triangular)),
+        (False, lambda: solve(weak)),
+        (False, lambda: solve(zero_diag)),
+        (False, lambda: solve(ones_off_diagonal)),
+        (False, lambda: multistart_uniqueness(zero_diag, starts=20)[0]),
+        (False, lambda: solve(weak, SolverConfig(method="bracket"))),
+        (True, lambda: solve(triangular)),
+        (True, lambda: solve(weak)),
+        (True, lambda: solve(zero_diag)),
+        (True, lambda: solve(ones_off_diagonal)),
     ]
     newton_calls = _first_newton_fails(monkeypatch, ConvergenceError)
-    for method, fails, run in runs:
+    for fails, run in runs:
         calls.update(classify=0, validate_solvable=0)
-        # Only the first solve_newton call after a reset fails.
+        # Only the first Newton pass after a reset fails.
         newton_calls[:] = [] if fails else [None]
-        assert _result_or_error_result(run).method_used == method
-        assert calls == {"classify": 1, "validate_solvable": 1}, method
+        res = run()
+        assert res.converged and res.method_used == "newton"
+        assert calls == {"classify": 1, "validate_solvable": 1}
 
 
-def _result_or_error_result(run):
-    try:
-        return run()
-    except ConvergenceError as err:
-        return err.result
-
-
-def _first_newton_fails(monkeypatch, error):
-    """Make auto's first solve_newton call raise error, carrying that call's
-    result marked as not converged; later calls (the bracket's hand-off) run
-    Newton. Returns the max_iter of each call."""
+def _first_newton_fails(monkeypatch, error, passes=1):
+    """Make the first `passes` calls of solver._newton, the Newton loop, raise
+    error, each carrying its result marked as not converged; later calls (the
+    pass on M's balance) run Newton. Returns the max_iter of each call."""
     import inversepoint.solver as solver_module
 
-    original = solver_module.solve_newton
+    original = solver_module._newton
     budgets = []
 
-    def first_fails(M, x0, config, **kwargs):
+    def first_fails(m, x, config, cls):
         budgets.append(config.max_iter)
-        res = original(M, x0, config, **kwargs)
-        if len(budgets) == 1:
+        res = original(m, x, config, cls)
+        if len(budgets) <= passes:
             raise error("newton: failed on purpose", result=replace(res, converged=False))
         return res
 
-    monkeypatch.setattr(solver_module, "solve_newton", first_fails)
+    monkeypatch.setattr(solver_module, "_newton", first_fails)
     return budgets
 
 
+# (case, method, method_used): auto's fallback is checked against the
+# paper's algorithm, method="bracket", which solves each case independently
+# and reports method_used (the weak diagonal stalls and hands off to Newton).
 FALLBACK_CASES = [
     ("triangular", "bracket", "bracket"),
     ("counterexample", "bracket", "bracket"),
-    # The bracket stalls and hands off to Newton.
     ("weak_diagonal", "bracket", "newton"),
 ]
 
@@ -660,25 +661,34 @@ def weak_diagonal():
 @pytest.mark.parametrize("error", [ConvergenceError, SingularJacobianError])
 @pytest.mark.parametrize("case, method, method_used", FALLBACK_CASES)
 def test_auto_fallback_returns_the_iteration_result(request, monkeypatch, error, case, method, method_used):
+    # With auto's first Newton pass failing, auto returns the pass on M's
+    # balance: x = 2^k x', with that pass's iterations, trace and residual,
+    # at the solution the bracket reaches.
     m = request.getfixturevalue(case)
     expected = solve(m, SolverConfig(method=method))
+    assert expected.method_used == method_used
+    fallback, k = balanced_pass(m)
     budgets = _first_newton_fails(monkeypatch, error)
     res = solve(m)
-    assert budgets[0] == SolverConfig().max_iter
-    assert (res.method_used, res.iterations) == (expected.method_used, expected.iterations)
-    assert res.method_used == method_used
-    assert res.x.values.tobytes() == expected.x.values.tobytes()
-    assert res.residual == expected.residual
+    assert budgets == [SolverConfig().max_iter] * 2
+    assert (res.method_used, res.iterations) == ("newton", fallback.iterations)
+    assert res.x.values.tobytes() == np.ldexp(fallback.x.values, k).tobytes()
+    assert np.array_equal(res.trace, fallback.trace) and res.residual == fallback.residual
     check_converged_invariants(m, res)
+    assert np.max(np.abs(res.x.values / expected.x.values - 1.0)) <= 1e-10
 
 
 @pytest.mark.parametrize("error", [ConvergenceError, SingularJacobianError])
 def test_auto_without_positive_diagonal_raises_newtons_error(monkeypatch, zero_diag, error):
-    budgets = _first_newton_fails(monkeypatch, error)
+    # Both passes fail, on M and on its balance: auto raises the first one's
+    # error, whose result is Newton's last iterate on M.
+    expected = solve(zero_diag)
+    budgets = _first_newton_fails(monkeypatch, error, passes=2)
     with pytest.raises(error, match="failed on purpose") as err:
         solve(zero_diag)
-    assert len(budgets) == 1
+    assert len(budgets) == 2
     assert err.value.result.method_used == "newton" and not err.value.result.converged
+    assert err.value.result.x.values.tobytes() == expected.x.values.tobytes()
 
 
 def _one_zero_diagonal(rng, n):
@@ -700,13 +710,13 @@ def _weak_diagonal(rng, n):
 
 
 # Auto on seeded inputs of each kind, n = rng.integers(2, 9): (recipe, seed,
-# fallback method_used, fallback iterations, Newton steps). Auto's first pass,
-# log-space Newton, solves each input in the given number of steps after the
-# sweeps of its start. With that
-# pass failing, a positive diagonal sends auto to the bracket, whose
-# iterations are pinned only where no Newton step runs (the weak diagonals
-# reach Newton through the bracket's hand-off); a zero diagonal entry makes
-# auto re-raise Newton's error, whose result is Newton's.
+# method, iterations, Newton steps). Auto's first pass, log-space Newton,
+# solves each input in the given number of steps after the sweeps of its
+# start; with that pass failing, Newton on M's balance solves it. method and
+# iterations pin the reference it is checked against: the paper's bracket
+# where the diagonal is positive, with its iterations pinned only where no
+# Newton step runs (the weak diagonals reach Newton through the bracket's
+# hand-off), and method="newton" from all-ones where a diagonal entry is zero.
 PINNED_PATHS = [
     (random_contraction, 1, "bracket", 54, 2),
     (random_contraction, 2, "bracket", 73, 0),
@@ -741,18 +751,18 @@ def test_auto_paths_are_pinned(monkeypatch, recipe, seed, method, iterations, st
     res = solve(m)
     check_converged_invariants(m, res)
     assert (res.method_used, res.iterations) == ("newton", steps)
-    _first_newton_fails(monkeypatch, ConvergenceError)
     if (np.diagonal(m.entries) > 0).all():
-        res = solve(m)
-        check_converged_invariants(m, res)
+        reference = solve(m, SolverConfig(method="bracket"))
     else:
-        with pytest.raises(ConvergenceError, match="failed on purpose") as err:
-            solve(m)
-        res = err.value.result
-        assert (res.iterations, res.converged) == (steps, False)
-    assert res.method_used == method
+        reference = solve_newton(m, np.ones(m.n))
+    assert reference.method_used == method
     if iterations is not None:
-        assert res.iterations == iterations
+        assert reference.iterations == iterations
+    _first_newton_fails(monkeypatch, ConvergenceError)
+    res = solve(m)
+    check_converged_invariants(m, res)
+    assert res.method_used == "newton"
+    assert np.max(np.abs(res.x.values / reference.x.values - 1.0)) <= 1e-10
 
 
 def _ufunc_reductions(run):

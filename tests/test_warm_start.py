@@ -13,6 +13,7 @@ import inversepoint.solver as solver_module
 from helpers import default_start, random_positive_diagonal
 from inversepoint import Matrix, SolverConfig, solve, solve_newton
 from inversepoint._kernels import residual_inf
+from inversepoint.solver import _balanced
 from test_hard_cases import _scale_law_inputs
 from test_krylov import _near_bipartite
 from test_solver import check_converged_invariants
@@ -205,8 +206,12 @@ def test_start_is_bitwise_the_power_of_four_start(j):
         assert start.tobytes() == _start_by_powers_of_four(m).tobytes() == default_start(m).tobytes()
 
 
-def test_start_of_an_overflowing_row_is_bitwise_the_power_of_four_start():
-    # Row 0 sums to inf; rows 1 and 2 do not.
+def test_start_of_an_overflowing_row_is_the_start_on_the_balance():
+    # Row 0 sums to inf, so 1/sqrt(rowsum(M)) has an entry 0: no result. With
+    # tol = inf the pass on M's balance M' returns its own start, unswept, as
+    # 2^k / sqrt(rowsum(M')). (Swept, the start on M itself converges.)
     m = np.array([[1.7e308, 1.7e308, 1e300], [1e300, 1e306, 1e300], [1e300, 1e300, 1.7e308]])
     start = solve_newton(m, None, SolverConfig(tol=np.inf)).x.values
-    assert start.tobytes() == _start_by_powers_of_four(m).tobytes()
+    mb, k = _balanced(m)
+    assert start.tobytes() == np.ldexp(default_start(mb), k).tobytes()
+    check_converged_invariants(Matrix(m), solve(m))
